@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import (Graph, components, find_c4, find_claw, find_p5,
-                     find_triangle, induced_subgraph)
+# find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
+from .graphs import (Component, Graph, components, find_c4, find_claw,  # noqa: F401
+                     find_p5, find_triangle, induced_subgraph)
 from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
                         InfiniteWordStream, fixed_point_stream, image_stream)
 from .words import Word
@@ -57,19 +58,87 @@ class Classification:
     components: tuple[ComponentClassification, ...]
 
 
-def _classify_connected(g: Graph) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
-    tri = find_triangle(g)
-    if tri is not None:
-        return True, 3, "C3", tri
-    p5 = find_p5(g)
-    if p5 is not None:
-        return True, 3, "P5", p5
-    c4 = find_c4(g)
-    if c4 is not None:
-        return True, 4, "C4", c4
-    claw = find_claw(g)
-    if claw is not None:
-        return True, 4, "K13", claw
+def _triangle(adj, verts: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+    """A triangle by degree-ordered listing (Chiba & Nishizeki 1985), or None.
+
+    Each edge points from its lower (degree, id) end to its higher one, so
+    every vertex has O(sqrt m) out-neighbours and the scan is O(m sqrt m)."""
+    size = len(adj)
+    rank = {v: len(adj[v]) * size + v for v in verts}
+    out = {v: [u for u in adj[v] if rank[u] > rank[v]] for v in verts}
+    for v in verts:
+        ov = out[v]
+        if len(ov) < 2:
+            continue
+        mine = set(ov)
+        for u in ov:
+            for x in out[u]:
+                if x in mine:
+                    return (v, u, x)
+    return None
+
+
+def _bfs(adj, root: int) -> tuple[list[int], dict[int, int]]:
+    """Vertices in BFS order from root, and each one's BFS parent."""
+    order, parent = [root], {root: root}
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
+def _tree_path(parent: dict[int, int], v: int) -> list[int]:
+    """v, parent(v), ... up to the BFS root."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path
+
+
+def _cycle_p5(adj, verts: tuple[int, ...]) -> tuple[int, ...]:
+    """A P5 in a connected triangle-free component that has a cycle and is not C4.
+
+    The fundamental cycle of a BFS non-tree edge has at least four vertices;
+    five consecutive ones form a P5, and a 4-cycle gets its fifth vertex from
+    a neighbour outside it, which connectivity guarantees."""
+    order, parent = _bfs(adj, verts[0])
+    u, x = next((v, y) for v in order for y in adj[v]
+                if parent[v] != y and parent[y] != v)
+    up, down = _tree_path(parent, u), _tree_path(parent, x)
+    on_down = set(down)
+    top = next(i for i, v in enumerate(up) if v in on_down)
+    cycle = up[:top + 1] + down[:down.index(up[top])][::-1]
+    if len(cycle) >= 5:
+        return tuple(cycle[:5])
+    on_cycle = set(cycle)
+    i, out = next((i, y) for i, v in enumerate(cycle) for y in adj[v] if y not in on_cycle)
+    return (out,) + tuple(cycle[i:] + cycle[:i])
+
+
+def _classify_connected(adj, comp: Component) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
+    verts = comp.vertices
+    n = len(verts)
+    m = sum(len(adj[v]) for v in verts) // 2
+    if m >= n:
+        tri = _triangle(adj, verts)
+        if tri is not None:
+            return True, 3, "C3", tri
+        if (n, m) == (4, 4):
+            return True, 4, "C4", comp.shape.order
+        return True, 3, "P5", _cycle_p5(adj, verts)
+    if n >= 5:
+        # a tree has a P5 iff its diameter is at least 4
+        far = _bfs(adj, verts[0])[0][-1]
+        order, parent = _bfs(adj, far)
+        path = _tree_path(parent, order[-1])
+        if len(path) >= 5:
+            return True, 3, "P5", tuple(path[:5])
+    hub = next((v for v in verts if len(adj[v]) >= 3), None)
+    if hub is not None:
+        return True, 4, "K13", (hub,) + adj[hub][:3]
     return False, None, None, None
 
 
@@ -81,19 +150,32 @@ def classify(g: Graph) -> Classification:
     contains a 5-vertex path, so it needs no separate detector).  The colour
     number is 3 exactly when a triangle or 5-vertex path is present, else 4;
     across components the minimum wins, since a walk stays in one component.
+
+    Each component with n vertices and m edges is decided in O(n + m) time
+    (O(m sqrt m) for the triangle scan when it has cycles), case by case:
+
+    - a triangle (degree-ordered listing) gives C3;
+    - else, with a cycle, it is either exactly C4 (n = m = 4), or it has a
+      P5 taken from the fundamental cycle of a BFS non-tree edge;
+    - else it is a tree, which has a P5 iff its diameter (two BFS passes) is
+      at least 4;
+    - else a vertex of degree at least 3 gives K13, hub first, and otherwise
+      the component is a path on at most 4 vertices and has no walk.
+
+    The ``graphs.find_*`` detectors decide the same cases by search and
+    serve as the exact reference in the tests.
     """
+    adj = g.adjacency
     comp_reports = []
     for comp in components(g):
-        sub, relabel = induced_subgraph(g, comp.vertices)
-        back = {new: old for old, new in relabel.items()}
-        exists, gamma, witness, wverts = _classify_connected(sub)
+        exists, gamma, witness, wverts = _classify_connected(adj, comp)
         comp_reports.append(ComponentClassification(
             vertices=comp.vertices,
             shape_text=comp.shape.describe(),
             exists=exists,
             gamma=gamma,
             witness=witness,
-            witness_vertices=tuple(back[v] for v in wverts) if wverts else None,
+            witness_vertices=wverts,
         ))
     defined = [c for c in comp_reports if c.exists]
     if not defined:

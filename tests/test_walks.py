@@ -1,13 +1,18 @@
 """G-word validation, the classifier, and the witness walk generators."""
 
 import itertools
+import random
+import time
 
 import pytest
 
-from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
+from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
+                           find_c4, find_claw, find_p5, find_triangle,
+                           induced_subgraph, path_graph)
 from sqwalk.morphisms import ALPHA_P5, PHI_P5, TAU, Colouring, fixed_point_stream, image_stream
 from sqwalk.search import longest_square_free_walk
-from sqwalk.walks import (apply_colouring, c4_walk_uniform_stream, classify,
+from sqwalk.walks import (Classification, ComponentClassification,
+                          apply_colouring, c4_walk_uniform_stream, classify,
                           claw_walk_stream, cycle_walk_p5_stream,
                           cycle_walk_stream, dean_reduced_stream, is_g_word,
                           p5_walk_stream, render_classification, thue_stream,
@@ -126,6 +131,107 @@ class TestClassify:
                 g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
                 res = longest_square_free_walk(g, 60)
                 assert classify(g).exists == res.bound_exceeded
+
+
+def detector_classify(g):
+    """The classifier as a chain of exact detectors, run on each component's
+    relabelled induced subgraph: the reference the linear-time one must match."""
+    detectors = (("C3", 3, find_triangle), ("P5", 3, find_p5),
+                 ("C4", 4, find_c4), ("K13", 4, find_claw))
+    reports = []
+    for comp in components(g):
+        sub, relabel = induced_subgraph(g, comp.vertices)
+        back = {new: old for old, new in relabel.items()}
+        verdict = (False, None, None, None)
+        for name, gamma, find in detectors:
+            hit = find(sub)
+            if hit is not None:
+                verdict = (True, gamma, name, tuple(back[v] for v in hit))
+                break
+        reports.append(ComponentClassification(comp.vertices, comp.shape.describe(), *verdict))
+    defined = [c for c in reports if c.exists]
+    if not defined:
+        return Classification(False, None, None, None, tuple(reports))
+    best = min(defined, key=lambda c: c.gamma)
+    return Classification(True, best.gamma, best.witness, best.witness_vertices, tuple(reports))
+
+
+_WITNESS_SIZE = {"C3": 3, "C4": 4, "P5": 5, "K13": 4}
+
+
+def witness_spans(g, name, vs):
+    """vs spans the named subgraph: ring order for C3/C4, path order for P5,
+    hub first for K13."""
+    if vs is None or len(vs) != _WITNESS_SIZE[name] or len(set(vs)) != len(vs):
+        return False
+    if name == "K13":
+        return all(g.has_edge(vs[0], x) for x in vs[1:])
+    pairs = list(zip(vs, vs[1:]))
+    if name in ("C3", "C4"):
+        pairs.append((vs[-1], vs[0]))
+    return all(g.has_edge(a, b) for a, b in pairs)
+
+
+class TestClassifierMatchesDetectors:
+    """The structure-theorem classifier against the detector chain."""
+
+    def assert_agrees(self, g):
+        c = classify(g)
+        assert render_classification(c) == render_classification(detector_classify(g)), g
+        for comp in c.components:
+            if comp.exists:
+                assert witness_spans(g, comp.witness, comp.witness_vertices), (g, comp)
+        if c.exists:
+            assert witness_spans(g, c.witness, c.witness_vertices), g
+
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                self.assert_agrees(Graph(n, [pairs[i] for i in range(len(pairs))
+                                             if mask >> i & 1]))
+
+    def test_random_graphs_on_6_to_12_vertices(self):
+        # sparse to dense, and bipartite (triangle-free, often with cycles),
+        # so trees, exact 4-cycles and longer triangle-free cycles all occur
+        rng = random.Random(20111)
+        for k in range(2000):
+            n = rng.randint(6, 12)
+            p = rng.uniform(0.05, 0.5)
+            pairs = itertools.combinations(range(n), 2)
+            if k % 3 == 0:
+                side = [rng.random() < 0.5 for _ in range(n)]
+                pairs = [(i, j) for i, j in pairs if side[i] != side[j]]
+            self.assert_agrees(Graph(n, [e for e in pairs if rng.random() < p]))
+
+
+class TestClassifyScale:
+    """Linear time per component: 1e5-vertex graphs classify in seconds."""
+
+    N = 100_000
+    FAMILIES = {
+        "star": (lambda n: [(0, i) for i in range(1, n)], (True, 4, "K13")),
+        "double_star": (lambda n: [(0, 1)] + [(0, i) for i in range(2, n // 2)]
+                        + [(1, i) for i in range(n // 2, n)], (True, 4, "K13")),
+        "path": (lambda n: [(i, i + 1) for i in range(n - 1)], (True, 3, "P5")),
+        "cycle": (lambda n: [(i, (i + 1) % n) for i in range(n)], (True, 3, "P5")),
+        "p4_forest": (lambda n: [(i, i + 1) for i in range(n - 1) if i % 4 != 3],
+                      (False, None, None)),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_large_graph(self, family):
+        edges, verdict = self.FAMILIES[family]
+        g = Graph(self.N, edges(self.N))
+        t0 = time.perf_counter()
+        c = classify(g)
+        elapsed = time.perf_counter() - t0
+        assert (c.exists, c.gamma, c.witness) == verdict, family
+        if c.exists:
+            assert witness_spans(g, c.witness, c.witness_vertices), family
+        if family == "star":
+            assert c.witness_vertices[0] == 0
+        assert elapsed < 5.0, f"{family}: {elapsed:.2f} s"
 
 
 class TestThueStream:
