@@ -143,8 +143,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     if args.kind == "walk":
         if not args.graph:
             raise ValueError("walk search needs --graph")
@@ -237,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=int, help="alphabet size (tournament search)")
     p.add_argument("--colours", type=int, help="number of colours (gamma-lower)")
     p.add_argument("--cap", type=int, help="search cap (default 200; 100 for gamma-lower)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; the search is sequential "
-                        "and its output does not depend on this value")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("morphism", help="apply or test a morphism")

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import Word, is_square_free
+from .words import Word, _extension_square_free, _square_free_words, is_square_free
 
 
 @dataclass(frozen=True)
@@ -242,44 +242,30 @@ def preservation_test(m: Morphism, max_len: int,
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    forb = [tuple(f) for f in forbidden]
-    n = m.source_alphabet_size
-    buf: list[int] = []
-
-    def new_factor_forbidden() -> bool:
-        for f in forb:
-            k = len(f)
-            if k and len(buf) >= k and tuple(buf[-k:]) == f:
-                return True
-        return False
-
-    def suffix_square() -> bool:
-        d = len(buf)
-        last = buf[-1]
-        for L in range(1, d // 2 + 1):
-            if last != buf[d - 1 - L]:
-                continue
-            if buf[d - L:] == buf[d - 2 * L:d - L]:
-                return True
-        return False
-
-    def dfs() -> Optional[Word]:
-        if buf and not is_square_free(apply(m, Word(tuple(buf), n))):
-            return Word(tuple(buf), n)
-        if len(buf) >= max_len:
-            return None
-        for a in range(n):
-            buf.append(a)
-            if not suffix_square() and not new_factor_forbidden():
-                hit = dfs()
-                if hit is not None:
-                    return hit
-            buf.pop()
-        return None
-
+    forb = [list(f) for f in forbidden]
     if any(not f for f in forb):
         return None  # the empty factor forbids every word
-    return dfs()
+    n = m.source_alphabet_size
+    images = m.images
+
+    def successors(buf):
+        for a in range(n):
+            word = buf + [a]
+            if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
+                yield a
+
+    image: list[int] = []
+    ends = [0]  # ends[i]: the length of the image of buf[:i]
+    for buf in _square_free_words(successors([]), successors, range(n), max_len):
+        d = len(buf)
+        del ends[d:]
+        del image[ends[-1]:]
+        for x in images[buf[-1]]:
+            image.append(x)
+            if not _extension_square_free(image):
+                return Word(tuple(buf), n)
+        ends.append(len(image))
+    return None
 
 
 def alignment_test(m: Morphism, letters: Iterable[int], window: int = 3) -> bool:

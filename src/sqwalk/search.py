@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 from .morphisms import Colouring
-from .words import Word, _extension_square_free
+from .words import Word, _square_free_words
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,22 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def _finish(best_len: int, witnesses: list[tuple[int, ...]], alphabet: int,
-            nodes: int) -> SearchResult:
-    words = tuple(Word(w, alphabet) for w in sorted(set(witnesses)))
-    return SearchResult("max_length", best_len, words, nodes)
+def _longest(words, cap: int, alphabet: int) -> SearchResult:
+    """Consume a backtracking enumeration: the longest words, or the cap reached."""
+    nodes = best = 0
+    witnesses: list[tuple[int, ...]] = []
+    for buf in words:
+        nodes += 1
+        d = len(buf)
+        if d >= cap:
+            return SearchResult("bound_exceeded", cap, (), nodes)
+        if d > best:
+            best = d
+            witnesses = [tuple(buf)]
+        elif d == best:
+            witnesses.append(tuple(buf))
+    found = tuple(Word(w, alphabet) for w in sorted(set(witnesses)))
+    return SearchResult("max_length", best, found, nodes)
 
 
 def longest_square_free_walk(g: Graph, cap: int) -> SearchResult:
@@ -47,36 +59,10 @@ def longest_square_free_walk(g: Graph, cap: int) -> SearchResult:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    nodes = 0
-    best = 0
-    witnesses: list[tuple[int, ...]] = []
-    buf: list[int] = []
+    n = g.vertex_count
     adjacency = g.adjacency
-
-    def dfs() -> bool:
-        nonlocal nodes, best, witnesses
-        nodes += 1
-        d = len(buf)
-        if d > best:
-            best = d
-            witnesses = [tuple(buf)]
-        elif d == best:
-            witnesses.append(tuple(buf))
-        if d >= cap:
-            return True
-        for u in adjacency[buf[-1]]:
-            buf.append(u)
-            if _extension_square_free(buf):
-                if dfs():
-                    return True
-            buf.pop()
-        return False
-
-    for s in range(g.vertex_count):
-        buf = [s]
-        if dfs():
-            return SearchResult("bound_exceeded", cap, (), nodes)
-    return _finish(best, witnesses, max(g.vertex_count, 1), nodes)
+    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], range(n), cap)
+    return _longest(words, cap, max(n, 1))
 
 
 def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult:
@@ -87,48 +73,23 @@ def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult
     """
     if alphabet_size < 1 or cap < 1:
         raise ValueError("alphabet_size and cap must be >= 1")
-    nodes = 0
-    best = 0
-    witnesses: list[tuple[int, ...]] = []
-    buf: list[int] = []
     pairs: set[tuple[int, int]] = set()
 
-    def dfs() -> bool:
-        nonlocal nodes, best, witnesses
-        nodes += 1
-        d = len(buf)
-        if d > best:
-            best = d
-            witnesses = [tuple(buf)]
-        elif d == best:
-            witnesses.append(tuple(buf))
-        if d >= cap:
-            return True
+    def successors(buf):
         last = buf[-1]
         for a in range(alphabet_size):
-            if a == last:
-                continue  # an immediate square
-            if (a, last) in pairs:
-                continue  # the reverse order is already a factor
+            if a == last or (a, last) in pairs:
+                continue  # an immediate square, or the reverse order is a factor
             new = (last, a)
-            added = new not in pairs
-            buf.append(a)
-            if added:
+            if new in pairs:
+                yield a
+            else:
                 pairs.add(new)
-            if _extension_square_free(buf):
-                if dfs():
-                    return True
-            if added:
+                yield a
                 pairs.discard(new)
-            buf.pop()
-        return False
 
-    for s in range(alphabet_size):
-        buf = [s]
-        pairs.clear()
-        if dfs():
-            return SearchResult("bound_exceeded", cap, (), nodes)
-    return _finish(best, witnesses, alphabet_size, nodes)
+    letters = range(alphabet_size)
+    return _longest(_square_free_words(letters, successors, letters, cap), cap, alphabet_size)
 
 
 def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:
@@ -141,41 +102,10 @@ def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:
         raise ValueError("cap must be >= 1")
     if phi.source_alphabet_size != g.vertex_count:
         raise ValueError("colouring must be defined on the graph's vertices")
-    nodes = 0
-    best = 0
-    witnesses: list[tuple[int, ...]] = []
-    buf: list[int] = []
-    cols: list[int] = []
-    colour_of = phi.images
+    n = g.vertex_count
     adjacency = g.adjacency
-
-    def dfs() -> bool:
-        nonlocal nodes, best, witnesses
-        nodes += 1
-        d = len(buf)
-        if d > best:
-            best = d
-            witnesses = [tuple(buf)]
-        elif d == best:
-            witnesses.append(tuple(buf))
-        if d >= cap:
-            return True
-        for u in adjacency[buf[-1]]:
-            buf.append(u)
-            cols.append(colour_of[u])
-            if _extension_square_free(cols):
-                if dfs():
-                    return True
-            buf.pop()
-            cols.pop()
-        return False
-
-    for s in range(g.vertex_count):
-        buf = [s]
-        cols = [colour_of[s]]
-        if dfs():
-            return SearchResult("bound_exceeded", cap, (), nodes)
-    return _finish(best, witnesses, max(g.vertex_count, 1), nodes)
+    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], phi.images, cap)
+    return _longest(words, cap, max(n, 1))
 
 
 @dataclass(frozen=True)
@@ -201,22 +131,22 @@ class GammaLowerBoundReport:
 
 def _canonical_colourings(n: int, k: int):
     """Colourings of n vertices with up to k colours, one per colour-permutation
-    class (restricted growth strings: each new colour is the next unused index)."""
-    if n == 0:
-        yield ()
-        return
-    out: list[int] = [0]
-
-    def rec(mx: int):
-        if len(out) == n:
-            yield tuple(out)
+    class (restricted growth strings: each new colour is the next unused index),
+    in lexicographic order."""
+    out = [0] * n
+    top = [0] * n  # top[i]: the largest colour among out[:i]
+    while True:
+        yield tuple(out)
+        i = n - 1
+        while i > 0 and out[i] >= min(top[i] + 1, k - 1):
+            i -= 1
+        if i <= 0:
             return
-        for v in range(min(mx + 1, k - 1) + 1):
-            out.append(v)
-            yield from rec(max(mx, v))
-            out.pop()
-
-    yield from rec(0)
+        out[i] += 1
+        m = max(top[i], out[i])
+        for j in range(i + 1, n):
+            out[j] = 0
+            top[j] = m
 
 
 def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundReport:

@@ -181,6 +181,40 @@ def _extension_square_free(letters, n: Optional[int] = None) -> bool:
     return True
 
 
+def _square_free_words(starts, successors, colour, cap: int):
+    """Depth-first, lexicographic backtracking over words with square-free colour words.
+
+    A word is a start letter followed by letters drawn from successors(buf),
+    and it is kept while its colour word (colour[v] for each letter v) stays
+    square-free.  Yields the live buffer at every node, before its children,
+    and never extends a word past cap letters; the caller must copy a word it
+    keeps.  The next letter of a node's successors is asked for only after
+    the previous child's subtree is finished, so a successors generator may
+    keep state across its yield.  Iterative: depth is bounded by cap only.
+    """
+    for s in starts:
+        buf = [s]
+        cols = [colour[s]]
+        yield buf
+        stack = [iter(successors(buf))] if cap > 1 else []
+        while stack:
+            for v in stack[-1]:
+                buf.append(v)
+                cols.append(colour[v])
+                if _extension_square_free(cols):
+                    yield buf
+                    if len(buf) < cap:
+                        stack.append(iter(successors(buf)))
+                        break
+                buf.pop()
+                cols.pop()
+            else:
+                stack.pop()
+                if stack:
+                    buf.pop()
+                    cols.pop()
+
+
 def extends_square_free(w: Word, a: int) -> bool:
     """Given square-free w, decide whether w + [a] is still square-free."""
     letters = w.letters + (a,)

@@ -160,11 +160,23 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[0] == "outcome=bound_exceeded 50"
 
-    def test_threads_flag_does_not_change_output(self, capsys):
-        _, base, _ = run(capsys, "search", "walk", "--graph", "p4", "--cap", "20")
-        _, threaded, _ = run(capsys, "search", "walk", "--graph", "p4",
-                             "--cap", "20", "--threads", "4")
-        assert base == threaded
+    def test_threads_flag_is_rejected(self, capsys):
+        code, _, _ = run(capsys, "search", "walk", "--graph", "p4",
+                         "--cap", "20", "--threads", "4")
+        assert code == 2
+
+    def test_walk_cap_past_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "search", "walk", "--graph", "c3", "--cap", "1500")
+        assert code == 0
+        assert out.splitlines()[0] == "outcome=bound_exceeded 1500"
+
+    def test_gamma_lower_on_a_long_path(self, capsys, tmp_path):
+        path = tmp_path / "p1500.txt"
+        path.write_text("n=1500\n" + "".join(f"{i} {i + 1}\n" for i in range(1499)))
+        code, out, _ = run(capsys, "search", "gamma-lower", "--graph", str(path),
+                           "--colours", "1", "--cap", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == "verdict=true"
 
     def test_missing_flags(self, capsys):
         assert run(capsys, "search", "walk", "--cap", "10")[0] == 2

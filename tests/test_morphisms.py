@@ -1,5 +1,8 @@
 """Morphism application, fixed-point streams, and the preservation tests."""
 
+import itertools
+import random
+
 import pytest
 
 from sqwalk.morphisms import (ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5,
@@ -7,7 +10,7 @@ from sqwalk.morphisms import (ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5,
                               compose_colouring, crochemore_uniform_test,
                               fixed_point_stream, image_stream, parse_morphism,
                               preservation_test)
-from sqwalk.words import Word, is_square_free
+from sqwalk.words import Word, brute_force_square_check, has_factor, is_square_free
 
 THUE_27 = "012021012102012021020121012"
 ALPHA_010_SQUARE = "2120102120210120"
@@ -170,6 +173,26 @@ class TestPreservation:
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
             preservation_test(ALPHA_P5, 0)
+
+    def test_matches_brute_force_on_random_morphisms(self):
+        # Tuple order is depth-first preorder, so the sweep's first
+        # counterexample is the tuple-order minimum of all counterexamples.
+        rng = random.Random(2011)
+        for _ in range(500):
+            n, t = rng.randint(1, 3), rng.randint(1, 4)
+            m = Morphism(n, t, tuple(tuple(rng.randrange(t) for _ in range(rng.randint(1, 5)))
+                                     for _ in range(n)))
+            forbidden = [Word(tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))), n)
+                         for _ in range(rng.randint(0, 2))]
+            max_len = rng.randint(1, 5)
+            words = (Word(v, n) for k in range(1, max_len + 1)
+                     for v in itertools.product(range(n), repeat=k))
+            hits = [v.letters for v in words
+                    if brute_force_square_check(v)
+                    and not any(has_factor(v, f) for f in forbidden)
+                    and not brute_force_square_check(apply(m, v))]
+            hit = preservation_test(m, max_len, forbidden)
+            assert (hit.letters if hit else None) == min(hits, default=None)
 
 
 class TestAlignment:

@@ -1,16 +1,20 @@
 """Bounded exhaustive searches: extremal values, witnesses, determinism."""
 
 import itertools
+import random
+import sys
 
 import pytest
 
 from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring
-from sqwalk.search import (longest_square_free_tournament,
+from sqwalk.search import (SearchResult, _canonical_colourings,
+                           longest_square_free_tournament,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
 from sqwalk.walks import apply_colouring, is_g_word
-from sqwalk.words import brute_force_square_check, is_tournament_word
+from sqwalk.words import (Word, _extension_square_free, brute_force_square_check,
+                          is_tournament_word)
 
 P4_WITNESSES = {"012101232101210", "321232101232123"}
 TOURNAMENT_20 = "01201320120320132032"
@@ -169,3 +173,100 @@ class TestGammaLowerBound:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             verify_gamma_lower_bound(cycle_graph(3), 0, 10)
+
+
+def reference_search(n, cap, allowed, colour, tournament=False):
+    """The recursive depth-first search, kept as the engine's reference."""
+    nodes = best = 0
+    witnesses = []
+    buf, cols, pairs = [], [], set()
+
+    def dfs():
+        nonlocal nodes, best, witnesses
+        nodes += 1
+        d = len(buf)
+        if d > best:
+            best, witnesses = d, [tuple(buf)]
+        elif d == best:
+            witnesses.append(tuple(buf))
+        if d >= cap:
+            return True
+        last = buf[-1]
+        for a in allowed(last):
+            if tournament and (a == last or (a, last) in pairs):
+                continue
+            added = tournament and (last, a) not in pairs
+            if added:
+                pairs.add((last, a))
+            buf.append(a)
+            cols.append(colour[a])
+            if _extension_square_free(cols) and dfs():
+                return True
+            buf.pop()
+            cols.pop()
+            if added:
+                pairs.discard((last, a))
+        return False
+
+    for s in range(n):
+        buf[:], cols[:] = [s], [colour[s]]
+        if dfs():
+            return SearchResult("bound_exceeded", cap, (), nodes)
+    found = tuple(Word(w, max(n, 1)) for w in sorted(set(witnesses)))
+    return SearchResult("max_length", best, found, nodes)
+
+
+def small_graphs():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    rng = random.Random(6)
+    pairs = list(itertools.combinations(range(6), 2))
+    for _ in range(300):
+        yield Graph(6, [p for p in pairs if rng.random() < 0.5])
+
+
+class TestMatchesRecursiveReference:
+    def test_walks(self):
+        for g in small_graphs():
+            adj = g.adjacency
+            expected = reference_search(g.vertex_count, 100, lambda v: adj[v],
+                                        range(g.vertex_count))
+            assert longest_square_free_walk(g, 100) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_tournaments(self, k):
+        for cap in (1, 5, 30, 60):
+            expected = reference_search(k, cap, lambda v: range(k), range(k), tournament=True)
+            assert longest_square_free_tournament(k, cap) == expected
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), claw_graph(), cycle_graph(5)],
+                             ids=["c4", "claw", "c5"])
+    def test_coloured_walks(self, g):
+        adj = g.adjacency
+        for images in _canonical_colourings(g.vertex_count, 3):
+            phi = Colouring(g.vertex_count, 3, images)
+            expected = reference_search(g.vertex_count, 100, lambda v: adj[v], images)
+            assert max_coloured_walk(g, phi, 100) == expected
+
+
+class TestDeepCaps:
+    # Caps past the interpreter's recursion limit: the search is iterative.
+    def test_walk(self):
+        cap = sys.getrecursionlimit() + 100
+        res = longest_square_free_walk(cycle_graph(3), cap)
+        assert res.outcome == "bound_exceeded" and res.length == cap
+
+    def test_coloured_walk(self):
+        cap = sys.getrecursionlimit() + 100
+        res = max_coloured_walk(cycle_graph(3), Colouring.identity(3), cap)
+        assert res.outcome == "bound_exceeded" and res.length == cap
+
+
+def test_canonical_colourings_are_restricted_growth_strings_in_order():
+    for n in range(8):
+        for k in range(1, 5):
+            expected = [v for v in itertools.product(range(k), repeat=n)
+                        if all(v[i] <= max(v[:i], default=-1) + 1 for i in range(n))]
+            assert list(_canonical_colourings(n, k)) == expected
