@@ -36,11 +36,6 @@ class Morphism:
         return cls(len(imgs), target_alphabet_size, imgs)
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str], target_alphabet_size: Optional[int] = None) -> "Morphism":
-        return cls.from_images(
-            [Word.from_text(t).letters for t in texts], target_alphabet_size)
-
-    @classmethod
     def identity(cls, n: int) -> "Morphism":
         return cls(n, n, tuple((a,) for a in range(n)))
 
@@ -112,9 +107,6 @@ class Colouring:
     @classmethod
     def identity(cls, n: int) -> "Colouring":
         return cls(n, n, tuple(range(n)))
-
-    def colour(self, a: int) -> int:
-        return self.images[a]
 
     def as_morphism(self) -> Morphism:
         return Morphism(self.source_alphabet_size, self.target_alphabet_size,

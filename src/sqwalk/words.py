@@ -5,11 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
-# Below this length the pure-Python scan beats the numpy one (call overhead).
-_NUMPY_THRESHOLD = 96
-
 
 @dataclass(frozen=True)
 class Word:
@@ -84,49 +79,35 @@ def _word_args(w) -> tuple[int, ...]:
     return w.letters if isinstance(w, Word) else tuple(w)
 
 
-def _find_square_scan(letters) -> Optional[tuple[int, int]]:
-    """First square by half-length, then position: (start, half_length) or None.
-
-    Scans the word against its own shift by L; a run of L consecutive
-    agreements w[i]==w[i+L] is exactly a square of half-length L.
-    """
-    n = len(letters)
-    for L in range(1, n // 2 + 1):
-        run = 0
-        for i in range(n - L):
-            if letters[i] == letters[i + L]:
-                run += 1
-                if run >= L:
-                    return (i - L + 1, L)
-            else:
-                run = 0
-    return None
-
-
-def _find_square_numpy(letters) -> Optional[tuple[int, int]]:
-    """Same shift scan as _find_square_scan, vectorized per shift."""
-    a = np.asarray(letters, dtype=np.int64)
-    n = a.size
-    for L in range(1, n // 2 + 1):
-        eq = a[: n - L] == a[L:]
-        c = np.cumsum(eq)
-        # window sums of length L over eq
-        sums = c[L - 1:] - np.concatenate(([0], c[:-L]))
-        hits = np.flatnonzero(sums == L)
-        if hits.size:
-            return (int(hits[0]), L)
-    return None
-
-
 def find_square(w: Word) -> Optional[tuple[int, int]]:
     """Locate a square uu in w: returns (start, len(u)), or None if square-free.
 
     The square of the smallest half-length is reported, leftmost first.
+    Shift scan: w has a square of half-length L ending at letter p exactly
+    when w[q] == w[q - L] for the L letters q = p-L+1, ..., p.  The word is
+    packed into one integer, width bytes per letter, so one XOR with its own
+    shift by L letters compares every letter with the one L places earlier;
+    a run of width*L zero bytes that starts on a letter boundary is a square.
     """
     letters = _word_args(w)
-    if len(letters) < _NUMPY_THRESHOLD:
-        return _find_square_scan(letters)
-    return _find_square_numpy(letters)
+    try:
+        width, packed = 1, bytes(letters)
+    except ValueError:  # a letter past 255: fixed-width big-endian letters
+        width = (max(letters).bit_length() + 7) // 8
+        packed = b"".join(a.to_bytes(width, "big") for a in letters)
+    x = int.from_bytes(packed, "big")
+    size = len(packed)
+    for L in range(1, len(letters) // 2 + 1):
+        run = width * L
+        # byte k >= run of diff is packed[k] ^ packed[k - run]
+        diff = (x ^ (x >> 8 * run)).to_bytes(size, "big")
+        zeros = bytes(run)
+        k = diff.find(zeros, run)
+        while k != -1:
+            if k % width == 0:
+                return (k // width - L, L)
+            k = diff.find(zeros, k - k % width + width)  # next letter boundary
+    return None
 
 
 def is_square_free(w: Word) -> bool:

@@ -70,6 +70,12 @@ class TestCheck:
         assert code == 1
         assert out == "square (01)^2 at position 0\n"
 
+    def test_square_free_long_word_with_huge_letters(self, capsys):
+        word = ",".join(["0,18446744073709551616"] * 50)
+        code, out, _ = run(capsys, "check", "square-free", word)
+        assert code == 1
+        assert out == "square (0,18446744073709551616)^2 at position 0\n"
+
     def test_tournament_fail(self, capsys):
         code, out, _ = run(capsys, "check", "tournament", "010")
         assert code == 1

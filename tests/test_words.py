@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -74,11 +77,55 @@ class TestIsSquareFree:
         assert find_square(w("0120012")) == (3, 1)
         assert find_square(w(THUE_27)) is None
 
-    def test_long_words_take_the_vectorized_path(self):
+    def test_long_thue_prefix_and_spoiled_copy(self):
         prefix = thue_stream().prefix(5000)
         assert is_square_free(prefix)
         spoiled = Word(prefix.letters + (prefix.letters[-1],), 3)
         assert not is_square_free(spoiled)
+
+
+def naive_find_square(letters):
+    """Reference: (start, half) of the square with the least (half, start)."""
+    n = len(letters)
+    hits = [(L, i) for L in range(1, n // 2 + 1) for i in range(n - 2 * L + 1)
+            if letters[i:i + L] == letters[i + L:i + 2 * L]]
+    return min(hits)[::-1] if hits else None
+
+
+class TestFindSquareAgainstReference:
+    def test_random_small_alphabets(self):
+        rng = random.Random(20261018)
+        for k in (2, 3, 4):
+            for _ in range(1500):
+                letters = tuple(rng.randrange(k) for _ in range(rng.randrange(80)))
+                if letters and rng.random() < 0.5:
+                    p = rng.randrange(len(letters))
+                    h = rng.randrange(1, len(letters) - p + 1)
+                    letters = letters[:p + h] + letters[p:p + h] + letters[p + h:]
+                assert find_square(Word(letters, k)) == naive_find_square(letters), letters
+
+    @pytest.mark.parametrize("top", [300, 70_000])
+    def test_multi_byte_letters(self, top):
+        rng = random.Random(top)
+        for _ in range(1500):
+            alphabet = [rng.randrange(top) for _ in range(rng.randrange(2, 5))] + [top - 1]
+            letters = tuple(rng.choice(alphabet) for _ in range(rng.randrange(60)))
+            assert find_square(Word.from_letters(letters, top)) == naive_find_square(letters), letters
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1,257,256", None),  # at half 1, a zero byte pair straddles letters 1 and 2
+        ("256,1,256,1", (0, 2)),
+        ("7,65536,7,65536,0", (0, 2)),
+    ])
+    def test_squares_start_on_letter_boundaries(self, text, expected):
+        word = Word.from_text(text)
+        assert find_square(word) == naive_find_square(word.letters) == expected
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import sqwalk; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-I", "-c", code]).returncode == 0
 
 
 class TestBruteForceOracle:
