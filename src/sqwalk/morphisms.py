@@ -148,7 +148,9 @@ class InfiniteWordStream:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         self._ensure(n)
-        return Word(tuple(self._buf[:n]), self.alphabet_size)
+        buf = self._buf
+        # a fresh stream holds exactly n letters: no copy of the buffer to slice
+        return Word(tuple(buf if len(buf) == n else buf[:n]), self.alphabet_size)
 
     def letters(self) -> Iterator[int]:
         """Iterate letters from the start, extending the buffer on demand."""

@@ -4,6 +4,7 @@ classifier, and the lazy witness-walk generators for every positive case."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator, Optional
 
 # find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
@@ -19,10 +20,10 @@ def find_non_edge(g: Graph, w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     if w.alphabet_size != g.vertex_count:
         raise ValueError(
             f"word alphabet size {w.alphabet_size} != vertex count {g.vertex_count}")
-    letters = w.letters
-    for p in range(len(letters) - 1):
-        if not g.has_edge(letters[p], letters[p + 1]):
-            return (p, (letters[p], letters[p + 1]))
+    arcs = g.edges | {(j, i) for i, j in g.edges}
+    for p, pair in enumerate(pairwise(w.letters)):
+        if pair not in arcs:
+            return (p, pair)
     return None
 
 

@@ -79,6 +79,11 @@ def _word_args(w) -> tuple[int, ...]:
     return w.letters if isinstance(w, Word) else tuple(w)
 
 
+# Block length of the first block level: half-lengths below 2 * _B0 are left
+# to the shift scan alone, so words under 4 * _B0 letters never reach a level.
+_B0 = 32
+
+
 def find_square(w: Word) -> Optional[tuple[int, int]]:
     """Locate a square uu in w: returns (start, len(u)), or None if square-free.
 
@@ -88,6 +93,10 @@ def find_square(w: Word) -> Optional[tuple[int, int]]:
     packed into one integer, width bytes per letter, so one XOR with its own
     shift by L letters compares every letter with the one L places earlier;
     a run of width*L zero bytes that starts on a letter boundary is a square.
+
+    The scan runs for L < 2 * _B0 only.  If none of those has a square, the
+    block levels (_least_block_half) name the least longer half-length in
+    near-linear time, and one more scan at that L finds the leftmost start.
     """
     letters = _word_args(w)
     try:
@@ -97,7 +106,14 @@ def find_square(w: Word) -> Optional[tuple[int, int]]:
         packed = b"".join(a.to_bytes(width, "big") for a in letters)
     x = int.from_bytes(packed, "big")
     size = len(packed)
+    levels_from = 2 * _B0
     for L in range(1, len(letters) // 2 + 1):
+        if L == levels_from:
+            # No square is shorter.  The block levels confirm a square at the
+            # least longer half-length, so the scan below returns it.
+            L = _least_block_half(packed, width)
+            if L is None:
+                return None
         run = width * L
         # byte k >= run of diff is packed[k] ^ packed[k - run]
         diff = (x ^ (x >> 8 * run)).to_bytes(size, "big")
@@ -107,6 +123,49 @@ def find_square(w: Word) -> Optional[tuple[int, int]]:
             if k % width == 0:
                 return (k // width - L, L)
             k = diff.find(zeros, k - k % width + width)  # next letter boundary
+    return None
+
+
+def _least_block_half(packed: bytes, width: int) -> Optional[int]:
+    """Least half-length L >= 2 * _B0 of a square in a word with no shorter one.
+
+    packed holds the word at width bytes per letter.  Level B = _B0, 2*_B0,
+    4*_B0, ... covers L in [2B, 4B), so the levels cover disjoint, growing
+    ranges and the first level with a square holds the least half-length.
+    The first half of a square of such an L contains a B-aligned block of B
+    letters, and the second half its copy L letters later.  So each aligned
+    block is searched for (bytes.find) 2B to 4B-1 letters further on, and a
+    copy d letters away is a square iff the letters around the two copies
+    agree over d - B more letters: forward to the first difference (read off
+    the XOR of the two slices as integers), then backward for the rest.  Two
+    copies of a block less than B letters apart would overlap in a shorter
+    square, so a block has at most a few copies in one level's range.
+    """
+    n = len(packed) // width
+    B = _B0
+    while 4 * B <= n:
+        best = 4 * B  # least half-length confirmed so far, exclusive bound
+        bw = B * width
+        for s in range(0, len(packed) - 3 * bw + 1, bw):  # byte offset of a block
+            block = packed[s:s + bw]
+            end = s + (best - 1) * width + bw  # a copy starts < best letters on
+            q = packed.find(block, s + 2 * bw, end)
+            while q != -1:
+                if q % width == 0:
+                    need = q - s - bw  # bytes the run must add to the block
+                    a, c = s + bw, q + bw
+                    cap = min(need, len(packed) - c)
+                    diff = (int.from_bytes(packed[a:a + cap], "big")
+                            ^ int.from_bytes(packed[c:c + cap], "big"))
+                    forward = cap - (diff.bit_length() + 7) // 8
+                    back = need - (forward - forward % width)
+                    if back <= s and packed[s - back:s] == packed[q - back:q]:
+                        best = (q - s) // width
+                        break  # later copies of this block are farther away
+                q = packed.find(block, q + 1, end)
+        if best < 4 * B:
+            return best
+        B *= 2
     return None
 
 

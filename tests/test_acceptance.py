@@ -36,13 +36,6 @@ def report(number, description, ok, elapsed=None):
     return ok
 
 
-def windowed_square_free(word, window=2000, step=1000):
-    letters = word.letters
-    last_start = max(len(letters) - window, 0)
-    return all(is_square_free(Word(letters[s:s + window], word.alphabet_size))
-               for s in range(0, last_start + 1, step))
-
-
 def graphs_on(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -115,12 +108,12 @@ def test_criterion_05_alignment():
 def test_criterion_06_p5_walk():
     t0 = time.time()
     prefix = p5_walk_stream().prefix(100_000)
-    ok_windows = windowed_square_free(prefix)
+    ok_square_free = is_square_free(prefix)
     ok_brute = brute_force_square_check(Word(prefix.letters[:10_000], 5))
     ok_walk = is_g_word(path_graph(5), prefix)
     ok_factorization = compose_colouring(PHI_P5, BETA_P5) == ALPHA_P5
     elapsed = time.time() - t0
-    ok = ok_windows and ok_brute and ok_walk and ok_factorization and elapsed < 10
+    ok = ok_square_free and ok_brute and ok_walk and ok_factorization and elapsed < 10
     assert report(6, "p5 stream square-free P5-word at 1e5, phi∘beta = alpha",
                   ok, elapsed)
 

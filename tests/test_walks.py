@@ -14,8 +14,9 @@ from sqwalk.search import longest_square_free_walk
 from sqwalk.walks import (Classification, ComponentClassification,
                           apply_colouring, c4_walk_uniform_stream, classify,
                           claw_walk_stream, cycle_walk_p5_stream,
-                          cycle_walk_stream, dean_reduced_stream, is_g_word,
-                          p5_walk_stream, render_classification, thue_stream,
+                          cycle_walk_stream, dean_reduced_stream,
+                          find_non_edge, is_g_word, p5_walk_stream,
+                          render_classification, thue_stream,
                           tournament5_stream)
 from sqwalk.words import (Word, has_factor, is_reduced_free_group_word,
                           is_square_free, is_tournament_word)
@@ -38,6 +39,33 @@ class TestIsGWord:
     def test_alphabet_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
             is_g_word(path_graph(4), w("010", 3))
+
+    def test_find_non_edge_matches_pairwise_has_edge(self):
+        def naive(g, letters):
+            return next(((p, (a, b)) for p, (a, b) in enumerate(zip(letters, letters[1:]))
+                         if not g.has_edge(a, b)), None)
+
+        rng = random.Random(6)
+        for _ in range(400):
+            n = rng.randrange(1, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, [e for e in pairs if rng.random() < 0.6])
+            letters = [rng.randrange(n)]
+            for _ in range(rng.randrange(40)):
+                # mostly walk the graph (both directions of each edge), sometimes
+                # repeat a letter (aa) or jump to any vertex
+                nbrs, r = g.neighbours(letters[-1]), rng.random()
+                if r < 0.05:
+                    letters.append(letters[-1])
+                elif r < 0.1 or not nbrs:
+                    letters.append(rng.randrange(n))
+                else:
+                    letters.append(rng.choice(nbrs))
+            word = Word(tuple(letters), n)
+            assert find_non_edge(g, word) == naive(g, word.letters), (g, letters)
+        assert find_non_edge(path_graph(3), w("0121", 3)) is None
+        assert find_non_edge(path_graph(3), w("0110", 3)) == (1, (1, 1))
+        assert find_non_edge(path_graph(3), w("2102", 3)) == (2, (0, 2))
 
 
 class TestApplyColouring:
@@ -353,18 +381,8 @@ class TestTournamentStream:
 
 
 class TestStreamScale:
-    """Every generator stream stays square-free and graph-valid out to 1e5.
-
-    Square-freeness at this length is verified by overlapping length-2000
-    windows (catching every square shorter than a window step); validity is
-    checked on the full prefix.
-    """
-
-    def windows_square_free(self, word, window=2000, step=1000):
-        letters = word.letters
-        last = max(len(letters) - window, 0)
-        return all(is_square_free(Word(letters[s:s + window], word.alphabet_size))
-                   for s in range(0, last + 1, step))
+    """Every generator stream stays square-free and graph-valid out to 1e5,
+    both checked exactly on the full prefix."""
 
     @pytest.mark.parametrize("name,make,graph", [
         ("thue", thue_stream, None),
@@ -381,8 +399,13 @@ class TestStreamScale:
     ])
     def test_prefixes_to_1e5(self, name, make, graph):
         prefix = make().prefix(100_000)
-        assert self.windows_square_free(prefix), name
+        assert is_square_free(prefix), name
         if graph is not None:
             assert is_g_word(graph, prefix), name
         if name == "tournament5":
             assert is_tournament_word(prefix)
+
+    def test_thue_prefix_1e6(self):
+        prefix = thue_stream().prefix(1_000_000)
+        assert is_square_free(prefix)
+        assert not is_square_free(Word(prefix.letters + prefix.letters[-1:], 3))

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqwalk.walks import thue_stream
+from sqwalk import words
+from sqwalk.walks import (c4_walk_uniform_stream, p5_walk_stream, thue_stream,
+                          tournament5_stream)
 from sqwalk.words import (Word, brute_force_square_check, extends_square_free,
                           find_square, has_factor, is_reduced_free_group_word,
                           is_square_free, is_tournament_word)
@@ -87,9 +89,11 @@ class TestIsSquareFree:
 def naive_find_square(letters):
     """Reference: (start, half) of the square with the least (half, start)."""
     n = len(letters)
-    hits = [(L, i) for L in range(1, n // 2 + 1) for i in range(n - 2 * L + 1)
-            if letters[i:i + L] == letters[i + L:i + 2 * L]]
-    return min(hits)[::-1] if hits else None
+    for L in range(1, n // 2 + 1):
+        for i in range(n - 2 * L + 1):
+            if letters[i] == letters[i + L] and letters[i:i + L] == letters[i + L:i + 2 * L]:
+                return (i, L)
+    return None
 
 
 class TestFindSquareAgainstReference:
@@ -120,6 +124,86 @@ class TestFindSquareAgainstReference:
     def test_squares_start_on_letter_boundaries(self, text, expected):
         word = Word.from_text(text)
         assert find_square(word) == naive_find_square(word.letters) == expected
+
+
+class TestFindSquareBlockLevels:
+    """Words of 128+ letters, where half-lengths from 2 * _B0 = 64 on are
+    decided by the block levels."""
+
+    STREAMS = (thue_stream, p5_walk_stream, c4_walk_uniform_stream, tournament5_stream)
+    # relabellings of the streams' letters 0-4: 1-byte, 2-byte and 3-byte
+    # letters, and 2-byte letters that share high and low bytes, so that
+    # copies of a block also turn up off letter boundaries
+    ALPHABETS = (tuple(range(5)), tuple(300 * a for a in range(5)),
+                 tuple(70_000 * a for a in range(5)),
+                 (0x0101, 0x0102, 0x0201, 0x0202, 0x0103))
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        """Stream factors of 128-1500 letters with a square uu planted at start 0
+        or flush with the end, paired with the reference answer.  Planting
+        often makes a shorter square where the two copies of u meet, so up to
+        100 factors are tried for one whose least square is the planted one."""
+        rng = random.Random(64)
+        words = []
+        for make in self.STREAMS:
+            src = make().prefix(3000).letters
+            for L in (63, 64, 65, 127, 128, 255, 256, rng.randrange(66, 750)):
+                for at_end in (False, True):
+                    n = rng.randrange(max(128, 2 * L), 1501)
+                    for _ in range(100):
+                        f = src[(off := rng.randrange(len(src) - n)):off + n - L]
+                        letters = f + f[-L:] if at_end else f[:L] + f
+                        expected = naive_find_square(letters)
+                        if expected[1] == L:
+                            break
+                    words.append((letters, expected))
+        return words
+
+    def test_planted_squares(self, planted):
+        for letters, expected in planted:
+            assert find_square(Word.from_letters(letters)) == expected, expected
+        # the planted square is the least one in nearly every word, so the
+        # block levels (half 64 and up) decide most of them
+        assert sum(half >= 64 for _, (_, half) in planted) >= 48
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS[1:])
+    def test_planted_squares_multi_byte(self, planted, alphabet):
+        # an injective relabelling keeps every square: same reference answer
+        for letters, expected in planted:
+            word = Word.from_letters(tuple(alphabet[a] for a in letters))
+            assert find_square(word) == expected, (alphabet, expected)
+
+    def test_square_free_factors(self):
+        rng = random.Random(128)
+        for make in self.STREAMS:
+            src = make().prefix(3000).letters
+            for n in (128, 129, 255, 256, 257, 600):
+                letters = src[(off := rng.randrange(len(src) - n)):off + n]
+                assert naive_find_square(letters) is None
+                for alphabet in self.ALPHABETS:
+                    assert find_square(Word.from_letters(tuple(alphabet[a] for a in letters))) is None
+
+    @pytest.mark.parametrize("b0", [1, 2, 4])
+    def test_small_first_block(self, monkeypatch, b0):
+        # with B0 this small, words of a few letters already run many levels
+        monkeypatch.setattr(words, "_B0", b0)
+        for n in range(11):
+            for letters in itertools.product(range(3), repeat=n):
+                assert find_square(letters) == naive_find_square(letters), letters
+        rng = random.Random(b0)
+        sources = [make().prefix(1000).letters for make in self.STREAMS]
+        for _ in range(1500):
+            src = rng.choice(sources)
+            n = rng.randrange(200)
+            letters = src[(off := rng.randrange(len(src) - n)):off + n]
+            if letters and rng.random() < 0.5:
+                p = rng.randrange(len(letters))
+                h = rng.randrange(1, len(letters) - p + 1)
+                letters = letters[:p + h] + letters[p:p + h] + letters[p + h:]
+            alphabet = rng.choice(self.ALPHABETS)
+            word = Word.from_letters(tuple(alphabet[a] for a in letters))
+            assert find_square(word) == naive_find_square(letters), (alphabet, letters)
 
 
 def test_import_loads_no_numpy():
