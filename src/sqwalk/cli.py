@@ -60,6 +60,8 @@ def _as_morphism(m) -> Morphism:
 
 
 def cmd_generate(args) -> int:
+    if args.length < 0:
+        raise ValueError("--length must be >= 0")
     name = args.stream
     if name.startswith("cycle:"):
         try:
@@ -82,8 +84,6 @@ def cmd_generate(args) -> int:
         stream = claw_walk_stream(g, args.hub)
     else:
         raise ValueError(f"unknown stream {name!r} (streams: {_STREAMS})")
-    if args.length < 0:
-        raise ValueError("--length must be >= 0")
     print(stream.prefix(args.length).text())
     return 0
 

@@ -121,27 +121,54 @@ def compose_colouring(phi: Colouring, m: Morphism) -> Morphism:
     return Morphism(m.source_alphabet_size, phi.target_alphabet_size, images)
 
 
-class InfiniteWordStream:
-    """Lazy, deterministic infinite word.
+# The letters a fixed point expands per block.  An image stream reads
+# _BLOCK // (its longest image) source letters per block, so that its own
+# blocks hold about _BLOCK letters.
+_BLOCK = 4096
 
-    prefix(n) materializes the first n letters; repeated calls share one
-    internal buffer, so prefix(m) is always a prefix of prefix(n) for m <= n.
-    Single consumer: instances are not safe for concurrent use.
+
+def _expand(images, letters) -> list[int]:
+    """The concatenated images of letters.
+
+    One list.extend per source letter: in CPython this beats
+    chain.from_iterable, which moves the output one letter at a time."""
+    out: list[int] = []
+    extend = out.extend
+    for a in letters:
+        extend(images[a])
+    return out
+
+
+class InfiniteWordStream:
+    """Lazy, deterministic infinite word, produced a block at a time.
+
+    factory(buf) is called once, with the stream's own (empty) buffer, and
+    returns an iterator of blocks: lists of letters that the stream appends
+    to buf in order, one block each time it needs more letters.  A factory
+    may read buf, which holds every letter produced so far, but must not
+    change it.
+
+    prefix(n) materializes the first n letters; repeated calls share the
+    buffer, so prefix(m) is always a prefix of prefix(n) for m <= n.
+    blocks() reads the stream from the start in slices of the buffer, for a
+    stream built on top of this one.  Single consumer: instances are not
+    safe for concurrent use.
     """
 
-    def __init__(self, alphabet_size: int, factory: Callable[[], Iterator[int]]):
+    def __init__(self, alphabet_size: int,
+                 factory: Callable[[list[int]], Iterator[list[int]]]):
         self.alphabet_size = alphabet_size
         self._factory = factory
         self._buf: list[int] = []
-        self._gen: Optional[Iterator[int]] = None
+        self._gen: Optional[Iterator[list[int]]] = None
 
     def _ensure(self, n: int) -> None:
-        if self._gen is None:
-            self._gen = self._factory()
         buf = self._buf
+        if self._gen is None:
+            self._gen = self._factory(buf)
         gen = self._gen
         while len(buf) < n:
-            buf.append(next(gen))
+            buf.extend(next(gen))
 
     def prefix(self, n: int) -> Word:
         """The first n letters as a Word."""
@@ -152,22 +179,28 @@ class InfiniteWordStream:
         # a fresh stream holds exactly n letters: no copy of the buffer to slice
         return Word(tuple(buf if len(buf) == n else buf[:n]), self.alphabet_size)
 
-    def letters(self) -> Iterator[int]:
-        """Iterate letters from the start, extending the buffer on demand."""
+    def blocks(self, size: int = _BLOCK) -> Iterator[list[int]]:
+        """Successive nonempty slices of at most size letters from the start.
+
+        Each slice is cut from the buffer; when the reader has caught up with
+        the buffer, the stream produces one more block first."""
+        buf = self._buf
         i = 0
         while True:
-            if i >= len(self._buf):
+            if i == len(buf):
                 self._ensure(i + 1)
-            yield self._buf[i]
-            i += 1
+            j = min(len(buf), i + size)
+            yield buf[i:j]
+            i = j
 
 
 def fixed_point_stream(m: Morphism, seed: int) -> InfiniteWordStream:
     """The infinite fixed point of m starting from seed.
 
     Requires m(seed) to start with seed and have length >= 2 (so iteration is
-    prolongable).  Letters are produced by expanding the images of already
-    produced letters, never materializing whole iterates.
+    prolongable).  The first block is m(seed); each later one is the images
+    of the next at most _BLOCK letters of the stream's own buffer, so the
+    fixed point reads only its buffer and keeps no copy of its letters.
     """
     if not 0 <= seed < m.source_alphabet_size:
         raise ValueError(f"seed {seed} outside source alphabet")
@@ -178,27 +211,35 @@ def fixed_point_stream(m: Morphism, seed: int) -> InfiniteWordStream:
         raise ValueError(f"image of seed {seed} does not start with {seed}")
     if len(img) < 2:
         raise ValueError(f"image of seed {seed} is too short to iterate")
+    images = m.images
 
-    def factory() -> Iterator[int]:
-        buf = list(m.images[seed])
-        emit = 0
-        expand = 1  # buf[0]'s image is buf itself, start expanding at 1
+    def factory(buf: list[int]) -> Iterator[list[int]]:
+        yield list(img)
+        expand = 1  # buf[0]'s image is m(seed) itself, start expanding at 1
         while True:
-            while emit < len(buf):
-                yield buf[emit]
-                emit += 1
-            buf.extend(m.images[buf[expand]])
-            expand += 1
+            # every image is nonempty, so buf stays ahead of expand
+            stop = min(len(buf), expand + _BLOCK)
+            yield _expand(images, buf[expand:stop])
+            expand = stop
 
     return InfiniteWordStream(m.source_alphabet_size, factory)
 
 
 def image_stream(m: Morphism, s: InfiniteWordStream) -> InfiniteWordStream:
-    """Lazy concatenation of m-images of the letters of s."""
+    """Lazy concatenation of m-images of the letters of s.
 
-    def factory() -> Iterator[int]:
-        for a in s.letters():
-            yield from m.image(a)
+    s is read in blocks of _BLOCK // (longest image) letters, so that each
+    block of the image holds about _BLOCK letters."""
+    images = m.images
+    n = m.source_alphabet_size
+    size = max(1, _BLOCK // max(map(len, images)))
+
+    def factory(buf: list[int]) -> Iterator[list[int]]:
+        for block in s.blocks(size):
+            top = max(block)
+            if top >= n:
+                raise ValueError(f"letter {top} outside source alphabet")
+            yield _expand(images, block)
 
     return InfiniteWordStream(m.target_alphabet_size, factory)
 

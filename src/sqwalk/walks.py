@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 # find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
 from .graphs import (Component, Graph, components, find_c4, find_claw,  # noqa: F401
                      find_p5, find_triangle, induced_subgraph)
-from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
+from .morphisms import (_BLOCK, ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
                         InfiniteWordStream, fixed_point_stream, image_stream)
 from .words import Word
 
@@ -21,10 +21,9 @@ def find_non_edge(g: Graph, w: Word) -> Optional[tuple[int, tuple[int, int]]]:
         raise ValueError(
             f"word alphabet size {w.alphabet_size} != vertex count {g.vertex_count}")
     arcs = g.edges | {(j, i) for i, j in g.edges}
-    for p, pair in enumerate(pairwise(w.letters)):
-        if pair not in arcs:
-            return (p, pair)
-    return None
+    if arcs.issuperset(pairwise(w.letters)):
+        return None
+    return next((p, pair) for p, pair in enumerate(pairwise(w.letters)) if pair not in arcs)
 
 
 def is_g_word(g: Graph, w: Word) -> bool:
@@ -243,10 +242,11 @@ def claw_walk_stream(g: Graph, hub: int) -> InfiniteWordStream:
     targets = ns[:3]
     thue = thue_stream()
 
-    def factory() -> Iterator[int]:
-        for t in thue.letters():
-            yield targets[t]
-            yield hub
+    def factory(buf: list[int]) -> Iterator[list[int]]:
+        for block in thue.blocks(_BLOCK // 2):
+            out = [hub] * (2 * len(block))
+            out[0::2] = [targets[t] for t in block]
+            yield out
 
     return InfiniteWordStream(g.vertex_count, factory)
 
@@ -258,22 +258,27 @@ def cycle_walk_stream(n: int) -> InfiniteWordStream:
     triangle); each larger cycle inserts the new letter n-1 between adjacent
     pairs (0, n-2) and (n-2, 0) of the (n-1)-cycle walk.  Deleting n-1 maps
     any square back to a square of the inner walk, so square-freeness lifts.
+    Each level rewrites the blocks of the level below and carries its last
+    letter across block boundaries; the levels still nest, one per vertex.
     """
     if n < 3:
         raise ValueError("cycle walks need n >= 3")
     if n == 3:
         return thue_stream()
     inner = cycle_walk_stream(n - 1)
+    new, last = n - 1, n - 2
 
-    def factory() -> Iterator[int]:
-        it = inner.letters()
-        prev = next(it)
-        yield prev
-        for x in it:
-            if (prev == 0 and x == n - 2) or (prev == n - 2 and x == 0):
-                yield n - 1
-            yield x
-            prev = x
+    def factory(buf: list[int]) -> Iterator[list[int]]:
+        prev = None
+        for block in inner.blocks():
+            out: list[int] = []
+            append = out.append
+            for x in block:
+                if (x == last and prev == 0) or (x == 0 and prev == last):
+                    append(new)
+                append(x)
+                prev = x
+            yield out
 
     return InfiniteWordStream(n, factory)
 
@@ -284,7 +289,7 @@ def cycle_walk_p5_stream(n: int) -> InfiniteWordStream:
     if n < 5:
         raise ValueError("the path-based cycle walk needs n >= 5")
 
-    def factory() -> Iterator[int]:
-        return p5_walk_stream().letters()
+    def factory(buf: list[int]) -> Iterator[list[int]]:
+        return p5_walk_stream().blocks()
 
     return InfiniteWordStream(n, factory)

@@ -46,6 +46,14 @@ class TestGenerate:
         assert code == 2
         assert "unknown stream" in err
 
+    def test_negative_length_is_rejected_before_the_stream_is_built(self, capsys, tmp_path):
+        # cycle:2000 nests past the recursion limit, and the graph file does
+        # not exist: neither is reached
+        for argv in (["cycle:2000"], ["claw", "--graph", str(tmp_path / "missing.txt")]):
+            code, out, err = run(capsys, "generate", *argv, "--length", "-1")
+            assert (code, out) == (2, "")
+            assert "--length must be >= 0" in err
+
     def test_claw_with_bad_hub(self, capsys):
         code, _, err = run(capsys, "generate", "claw", "--length", "3", "--hub", "1")
         assert code == 2

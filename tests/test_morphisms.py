@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from itertools import islice
 
 import pytest
 
-from sqwalk.morphisms import (ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5,
+from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5,
                               TAU, Colouring, Morphism, alignment_test, apply,
                               compose_colouring, crochemore_uniform_test,
                               fixed_point_stream, image_stream, parse_morphism,
@@ -16,8 +17,35 @@ THUE_27 = "012021012102012021020121012"
 ALPHA_010_SQUARE = "2120102120210120"
 
 
+# prefix lengths around the block size, for the block streams against their references
+LENGTHS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000)
+
+
 def w(text, alphabet_size=None):
     return Word.from_text(text, alphabet_size)
+
+
+def take(letters, n):
+    return tuple(islice(letters, n))
+
+
+def reference_fixed_point(m, seed):
+    """The letter-at-a-time fixed-point generator, kept as the block streams' reference."""
+    buf = list(m.images[seed])
+    emit = 0
+    expand = 1
+    while True:
+        while emit < len(buf):
+            yield buf[emit]
+            emit += 1
+        buf.extend(m.images[buf[expand]])
+        expand += 1
+
+
+def reference_image(m, letters):
+    """The letter-at-a-time image generator, kept as the block streams' reference."""
+    for a in letters:
+        yield from m.image(a)
 
 
 class TestMorphismType:
@@ -120,6 +148,81 @@ class TestImageStream:
         for m in (ALPHA_P5, BETA_P5, ALPHA_C4, ALPHA_T5):
             assert is_square_free(image_stream(m, fixed_point_stream(TAU, 0)).prefix(2000))
         assert is_square_free(thue.prefix(2000))
+
+
+class TestBlockStreamsMatchReference:
+    """Block-at-a-time streams give the letters of the letter-at-a-time generators."""
+
+    def test_thue_at_block_lengths(self):
+        expected = take(reference_fixed_point(TAU, 0), LENGTHS[-1])
+        for n in LENGTHS:
+            assert fixed_point_stream(TAU, 0).prefix(n).letters == expected[:n], n
+
+    def test_random_prolongable_morphisms(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            k = rng.randrange(2, 6)
+            seed = rng.randrange(k)
+            images = [tuple(rng.randrange(k) for _ in range(rng.randrange(1, 7)))
+                      for _ in range(k)]
+            images[seed] = (seed,) + images[seed]
+            m = Morphism(k, k, tuple(images))
+            # images up to 30 letters: the source blocks shrink to _BLOCK // 30
+            target = rng.randrange(1, 6)
+            m2 = Morphism(k, target, tuple(
+                tuple(rng.randrange(target) for _ in range(rng.randrange(1, 31)))
+                for _ in range(k)))
+            n = rng.choice(LENGTHS[:-1])
+            assert (fixed_point_stream(m, seed).prefix(n).letters
+                    == take(reference_fixed_point(m, seed), n)), (m, seed, n)
+            assert (image_stream(m2, fixed_point_stream(m, seed)).prefix(n).letters
+                    == take(reference_image(m2, reference_fixed_point(m, seed)), n)), (m, m2, n)
+
+    def test_interleaved_prefixes(self):
+        for make, ref in [
+                (lambda: fixed_point_stream(TAU, 0), lambda: reference_fixed_point(TAU, 0)),
+                (lambda: image_stream(ALPHA_P5, fixed_point_stream(TAU, 0)),
+                 lambda: reference_image(ALPHA_P5, reference_fixed_point(TAU, 0)))]:
+            expected = take(ref(), 100_000)
+            stream = make()
+            for n in (50_000, 7, 100_000):
+                assert stream.prefix(n).letters == expected[:n], n
+
+    def test_two_images_share_one_source(self):
+        thue = fixed_point_stream(TAU, 0)
+        a, b = image_stream(ALPHA_P5, thue), image_stream(ALPHA_T5, thue)
+        expect_a = take(reference_image(ALPHA_P5, reference_fixed_point(TAU, 0)), 100_000)
+        expect_b = take(reference_image(ALPHA_T5, reference_fixed_point(TAU, 0)), 100_001)
+        assert a.prefix(1000).letters == expect_a[:1000]
+        assert b.prefix(50_000).letters == expect_b[:50_000]
+        assert a.prefix(100_000).letters == expect_a
+        assert b.prefix(100_001).letters == expect_b
+        assert thue.prefix(9000).letters == take(reference_fixed_point(TAU, 0), 9000)
+
+    def test_image_rejects_letters_outside_its_source_alphabet(self):
+        # BETA_P5's images walk 0..4; ALPHA_P5 maps only 0..2
+        stream = image_stream(ALPHA_P5, image_stream(BETA_P5, fixed_point_stream(TAU, 0)))
+        with pytest.raises(ValueError, match="outside source alphabet"):
+            stream.prefix(100)
+
+
+class TestBlockBounds:
+    """A stream produces about one block of _BLOCK letters beyond what was asked
+    (len(stream._buf) counts every letter produced so far)."""
+
+    def test_image_of_a_long_source_reads_a_short_block(self):
+        thue = fixed_point_stream(TAU, 0)
+        thue.prefix(100_000)
+        stream = image_stream(BETA_P5, thue)
+        stream.prefix(10)
+        assert len(stream._buf) <= _BLOCK
+
+    def test_fixed_point_expands_at_most_a_block(self):
+        stream = fixed_point_stream(TAU, 0)
+        stream.prefix(100_000)
+        have = len(stream._buf)
+        stream.prefix(have + 1)
+        assert len(stream._buf) - have <= 3 * _BLOCK  # TAU's longest image is 3
 
 
 class TestCrochemore:

@@ -9,7 +9,8 @@ import pytest
 from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
                            find_c4, find_claw, find_p5, find_triangle,
                            induced_subgraph, path_graph)
-from sqwalk.morphisms import ALPHA_P5, PHI_P5, TAU, Colouring, fixed_point_stream, image_stream
+from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
+                              Colouring, fixed_point_stream, image_stream)
 from sqwalk.search import longest_square_free_walk
 from sqwalk.walks import (Classification, ComponentClassification,
                           apply_colouring, c4_walk_uniform_stream, classify,
@@ -20,10 +21,39 @@ from sqwalk.walks import (Classification, ComponentClassification,
                           tournament5_stream)
 from sqwalk.words import (Word, has_factor, is_reduced_free_group_word,
                           is_square_free, is_tournament_word)
+from test_morphisms import LENGTHS, reference_fixed_point, reference_image, take
 
 
 def w(text, alphabet_size=None):
     return Word.from_text(text, alphabet_size)
+
+
+def reference_thue():
+    return reference_fixed_point(TAU, 0)
+
+
+def reference_claw(g, hub):
+    """The letter-at-a-time claw walk, kept as the block stream's reference."""
+    targets = g.neighbours(hub)[:3]
+    for t in reference_thue():
+        yield targets[t]
+        yield hub
+
+
+def reference_cycle_level(n, inner):
+    """One letter-at-a-time cycle level: n-1 between each 0, n-2 pair of inner."""
+    it = iter(inner)
+    prev = next(it)
+    yield prev
+    for x in it:
+        if (prev == 0 and x == n - 2) or (prev == n - 2 and x == 0):
+            yield n - 1
+        yield x
+        prev = x
+
+
+def reference_cycle(n):
+    return reference_thue() if n == 3 else reference_cycle_level(n, reference_cycle(n - 1))
 
 
 class TestIsGWord:
@@ -63,6 +93,15 @@ class TestIsGWord:
                     letters.append(rng.choice(nbrs))
             word = Word(tuple(letters), n)
             assert find_non_edge(g, word) == naive(g, word.letters), (g, letters)
+        # a long walk whose only non-edge is its first pair, its last pair, or a repeated letter
+        p5, walk = path_graph(5), p5_walk_stream().prefix(10_000).letters
+        last = (walk[-1] + 2) % 5
+        for letters, hit in [((4,) + walk, (0, (4, walk[0]))),
+                             (walk + (last,), (9999, (walk[-1], last))),
+                             (walk[:5000] + walk[4999:], (4999, (walk[4999], walk[4999])))]:
+            word = Word(letters, 5)
+            assert find_non_edge(p5, word) == naive(p5, letters) == hit
+        assert find_non_edge(p5, Word(walk, 5)) is None
         assert find_non_edge(path_graph(3), w("0121", 3)) is None
         assert find_non_edge(path_graph(3), w("0110", 3)) == (1, (1, 1))
         assert find_non_edge(path_graph(3), w("2102", 3)) == (2, (0, 2))
@@ -409,3 +448,101 @@ class TestStreamScale:
         prefix = thue_stream().prefix(1_000_000)
         assert is_square_free(prefix)
         assert not is_square_free(Word(prefix.letters + prefix.letters[-1:], 3))
+
+
+# every built-in stream next to its letter-at-a-time reference
+BUILTIN_STREAMS = {
+    "thue": (thue_stream, reference_thue),
+    "p5": (p5_walk_stream, lambda: reference_image(BETA_P5, reference_thue())),
+    "c4-uniform": (c4_walk_uniform_stream, lambda: reference_image(ALPHA_C4, reference_thue())),
+    "dean": (dean_reduced_stream, lambda: reference_image(ALPHA_C4, reference_thue())),
+    "tournament5": (tournament5_stream, lambda: reference_image(ALPHA_T5, reference_thue())),
+    "claw": (lambda: claw_walk_stream(claw_graph(), 0), lambda: reference_claw(claw_graph(), 0)),
+    "cycle4": (lambda: cycle_walk_stream(4), lambda: reference_cycle(4)),
+    "cycle12": (lambda: cycle_walk_stream(12), lambda: reference_cycle(12)),
+    "cycle-p5": (lambda: cycle_walk_p5_stream(6),
+                 lambda: reference_image(BETA_P5, reference_thue())),
+}
+
+
+def cycle_references(top, n_letters):
+    """The first n_letters of each cycle walk for n = 3..top, one level at a time."""
+    levels = {3: take(reference_thue(), n_letters)}
+    for n in range(4, top + 1):
+        # a level only inserts letters, so n_letters of it need at most n_letters below
+        levels[n] = take(reference_cycle_level(n, levels[n - 1]), n_letters)
+    return levels
+
+
+class TestBlockStreamsMatchReference:
+    """Block-at-a-time streams give the letters of the letter-at-a-time generators."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_STREAMS))
+    def test_builtin_stream_at_block_lengths(self, name):
+        make, ref = BUILTIN_STREAMS[name]
+        expected = take(ref(), LENGTHS[-1])
+        for n in LENGTHS:
+            assert make().prefix(n).letters == expected[:n], n
+        stream = make()
+        for n in (50_000, 7, 100_000):
+            assert stream.prefix(n).letters == expected[:n], n
+
+    @pytest.mark.parametrize("g,hubs", [
+        (claw_graph(), [0]),
+        (Graph(6, [(0, v) for v in range(1, 6)]), [0]),                     # K1,5
+        (Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]), [0, 1]),
+        (Graph(9, [(4, 0), (4, 8), (4, 2), (4, 6), (0, 7), (7, 3), (7, 5)]), [4, 7]),
+    ], ids=["claw", "k15", "double-star", "double-star-relabelled"])
+    def test_claw_hubs(self, g, hubs):
+        for hub in hubs:
+            assert (claw_walk_stream(g, hub).prefix(20_000).letters
+                    == take(reference_claw(g, hub), 20_000)), hub
+
+    def test_cycle_walks_3_to_60(self):
+        expected = cycle_references(60, 20_000)
+        for n in range(3, 61):
+            assert cycle_walk_stream(n).prefix(20_000).letters == expected[n], n
+
+    def test_insertions_straddle_block_boundaries(self):
+        # Find the cycles whose level reads a block ending in 0 (or n-2) and the
+        # next one starting with n-2 (or 0): the letter n-1 is inserted between
+        # blocks there, so the level must carry its last letter across them.
+        expected = cycle_references(30, 20_000)
+        straddled = []
+        for n in range(4, 31):
+            ends, prev, seen = {0, n - 2}, None, 0
+            for block in cycle_walk_stream(n - 1).blocks():
+                if prev is not None and {prev, block[0]} == ends:
+                    straddled.append(n)
+                    break
+                prev, seen = block[-1], seen + len(block)
+                if seen >= 20_000:
+                    break
+        assert straddled
+        for n in straddled:
+            assert cycle_walk_stream(n).prefix(20_000).letters == expected[n], n
+
+
+class TestBlockSizes:
+    """A stream produces about one block of _BLOCK letters at a time
+    (len(stream._buf) counts every letter produced so far), so a short
+    `sqwalk generate` stays cheap."""
+
+    STREAMS = [p5_walk_stream, lambda: claw_walk_stream(claw_graph(), 0),
+               lambda: cycle_walk_stream(12)]
+    IDS = ["p5", "claw", "cycle12"]
+
+    @pytest.mark.parametrize("make", STREAMS, ids=IDS)
+    def test_prefix_10(self, make):
+        stream = make()
+        stream.prefix(10)
+        assert len(stream._buf) <= _BLOCK
+
+    @pytest.mark.parametrize("make,bound", zip(STREAMS, [_BLOCK, _BLOCK, 2 * _BLOCK]), ids=IDS)
+    def test_every_block(self, make, bound):
+        # a cycle level inserts at most one letter per letter it reads
+        stream = make()
+        while len(stream._buf) < 200_000:
+            have = len(stream._buf)
+            stream.prefix(have + 1)
+            assert len(stream._buf) - have <= bound, have
