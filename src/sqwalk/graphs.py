@@ -103,12 +103,6 @@ def claw_graph() -> Graph:
     return Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
-def max_degree(g: Graph) -> int:
-    if g.vertex_count == 0:
-        return 0
-    return max(len(ns) for ns in g.adjacency)
-
-
 def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
     """A 3-cycle as a vertex triple, or None."""
     for i, j in sorted(g.edges):
@@ -165,70 +159,19 @@ def find_claw(g: Graph) -> Optional[tuple[int, int, int, int]]:
     return None
 
 
-def contains_triangle(g: Graph) -> bool:
-    return find_triangle(g) is not None
-
-
-def contains_c4(g: Graph) -> bool:
-    return find_c4(g) is not None
-
-
-def contains_p5(g: Graph) -> bool:
-    return find_p5(g) is not None
-
-
-def contains_claw(g: Graph) -> bool:
-    return find_claw(g) is not None
-
-
-@dataclass(frozen=True)
-class ComponentShape:
-    """path(m) / cycle(k) classification of a connected component."""
-
-    kind: str  # "path", "cycle" or "other"
-    order: Optional[tuple[int, ...]]  # traversal order for paths and cycles
-
-    def describe(self) -> str:
-        if self.kind == "other":
-            return "other"
-        return f"{self.kind}({len(self.order)})"
-
-
 @dataclass(frozen=True)
 class Component:
     vertices: tuple[int, ...]
-    shape: ComponentShape
-
-
-def _classify_component(g: Graph, verts: list[int]) -> ComponentShape:
-    degs = [g.degree(v) for v in verts]
-    if any(d > 2 for d in degs):
-        return ComponentShape("other", None)
-    edge_count = sum(degs) // 2
-    if edge_count == len(verts) - 1:
-        # connected, max degree <= 2, tree: a path
-        ends = [v for v in verts if g.degree(v) <= 1]
-        start = min(ends)
-        order = [start]
-        prev = None
-        while len(order) < len(verts):
-            nxt = [u for u in g.adjacency[order[-1]] if u != prev]
-            prev = order[-1]
-            order.append(nxt[0])
-        return ComponentShape("path", tuple(order))
-    # connected, max degree exactly 2 everywhere: a cycle
-    start = min(verts)
-    prev = None
-    order = [start]
-    while len(order) < len(verts):
-        nxt = [u for u in g.adjacency[order[-1]] if u != prev]
-        prev = order[-1]
-        order.append(min(nxt) if len(order) == 1 else nxt[0])
-    return ComponentShape("cycle", tuple(order))
+    shape: str  # "path(k)", "cycle(k)" or "other"
 
 
 def components(g: Graph) -> list[Component]:
-    """Connected components with path/cycle/other shape, sorted by least vertex."""
+    """Connected components with their shape, sorted by least vertex.
+
+    A connected component on n vertices with m edges is "other" when some
+    degree exceeds 2; with every degree at most 2 it is path(n) when it is a
+    tree (m = n - 1) and cycle(n) otherwise."""
+    adj = g.adjacency
     seen = [False] * g.vertex_count
     out = []
     for s in range(g.vertex_count):
@@ -240,12 +183,20 @@ def components(g: Graph) -> list[Component]:
         while stack:
             v = stack.pop()
             verts.append(v)
-            for u in g.adjacency[v]:
+            for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
         verts.sort()
-        out.append(Component(tuple(verts), _classify_component(g, verts)))
+        degrees = [len(adj[v]) for v in verts]
+        n = len(verts)
+        if max(degrees) > 2:
+            shape = "other"
+        elif sum(degrees) // 2 == n - 1:
+            shape = f"path({n})"
+        else:
+            shape = f"cycle({n})"
+        out.append(Component(tuple(verts), shape))
     return out
 
 

@@ -303,36 +303,44 @@ def preservation_test(m: Morphism, max_len: int,
     return None
 
 
-def alignment_test(m: Morphism, letters: Iterable[int], window: int = 3) -> bool:
+def alignment_test(m: Morphism, letters: Iterable[int]) -> bool:
     """Check that the images of the given letters occur only on image boundaries.
 
-    Scans every concatenation m(j_1)...m(j_k) for k up to `window`; each
-    occurrence of m(i) must start at an image boundary whose image is exactly
-    m(i).  Three images suffice as a window because an interior occurrence
-    spans at most two boundaries.
+    In every concatenation of images, each occurrence of m(i) must start
+    where an image equal to m(i) starts.  A misaligned occurrence starts at
+    offset o of some image m(j), with o > 0 or m(j) != m(i), and the images
+    after m(j) spell the rest of m(i).  The test follows those partial
+    matches, keyed by how many letters of m(i) are matched at an image
+    boundary, to every length they reach: it is exact however many images
+    an occurrence spans.
     """
     targets = sorted(set(letters))
     for i in targets:
         if not 0 <= i < m.source_alphabet_size:
             raise ValueError(f"letter {i} outside source alphabet")
-    src = range(m.source_alphabet_size)
-    for i in targets:
-        needle = m.images[i]
-        k_len = len(needle)
-        for k in range(1, window + 1):
-            for combo in itertools.product(src, repeat=k):
-                boundaries: dict[int, int] = {}
-                concat: list[int] = []
-                for j in combo:
-                    boundaries[len(concat)] = j
-                    concat.extend(m.images[j])
-                limit = len(concat) - k_len
-                for p in range(limit + 1):
-                    if tuple(concat[p:p + k_len]) != needle:
-                        continue
-                    at = boundaries.get(p)
-                    if at is None or m.images[at] != needle:
+    images = m.images
+    for needle in {images[i] for i in targets}:
+        k = len(needle)
+        matched = set()  # q: needle[:q] ends on an image boundary, 0 < q < k
+        for img in images:
+            # an occurrence at offset 0 of an image equal to m(i) is aligned
+            for o in range(1 if img == needle else 0, len(img)):
+                part = img[o:o + k]
+                if part == needle[:len(part)]:
+                    if len(part) == k:
                         return False
+                    matched.add(len(part))
+        todo = list(matched)
+        while todo:
+            q = todo.pop()
+            for img in images:
+                r = q + len(img)
+                if img[:k - q] == needle[q:r]:
+                    if r >= k:
+                        return False
+                    if r not in matched:
+                        matched.add(r)
+                        todo.append(r)
     return True
 
 

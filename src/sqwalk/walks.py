@@ -8,10 +8,11 @@ from itertools import pairwise
 from typing import Iterator, Optional
 
 # find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
-from .graphs import (Component, Graph, components, find_c4, find_claw,  # noqa: F401
+from .graphs import (Graph, components, find_c4, find_claw,  # noqa: F401
                      find_p5, find_triangle, induced_subgraph)
-from .morphisms import (_BLOCK, ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
-                        InfiniteWordStream, fixed_point_stream, image_stream)
+from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
+                        InfiniteWordStream, Morphism, fixed_point_stream,
+                        image_stream)
 from .words import Word
 
 
@@ -118,8 +119,7 @@ def _cycle_p5(adj, verts: tuple[int, ...]) -> tuple[int, ...]:
     return (out,) + tuple(cycle[i:] + cycle[:i])
 
 
-def _classify_connected(adj, comp: Component) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
-    verts = comp.vertices
+def _classify_connected(adj, verts: tuple[int, ...]) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
     n = len(verts)
     m = sum(len(adj[v]) for v in verts) // 2
     if m >= n:
@@ -127,7 +127,11 @@ def _classify_connected(adj, comp: Component) -> tuple[bool, Optional[int], Opti
         if tri is not None:
             return True, 3, "C3", tri
         if (n, m) == (4, 4):
-            return True, 4, "C4", comp.shape.order
+            # a triangle-free 4-cycle: v0, the least vertex, is its ring's
+            # start and adj[a] = (v0, the vertex opposite v0)
+            v0 = verts[0]
+            a, b = adj[v0]
+            return True, 4, "C4", (v0, a, adj[a][1], b)
         return True, 3, "P5", _cycle_p5(adj, verts)
     if n >= 5:
         # a tree has a P5 iff its diameter is at least 4
@@ -168,10 +172,10 @@ def classify(g: Graph) -> Classification:
     adj = g.adjacency
     comp_reports = []
     for comp in components(g):
-        exists, gamma, witness, wverts = _classify_connected(adj, comp)
+        exists, gamma, witness, wverts = _classify_connected(adj, comp.vertices)
         comp_reports.append(ComponentClassification(
             vertices=comp.vertices,
-            shape_text=comp.shape.describe(),
+            shape_text=comp.shape,
             exists=exists,
             gamma=gamma,
             witness=witness,
@@ -232,23 +236,15 @@ def tournament5_stream() -> InfiniteWordStream:
 
 def claw_walk_stream(g: Graph, hub: int) -> InfiniteWordStream:
     """Square-free walk alternating between a degree->=3 hub and three of its
-    neighbours: the Thue letters are mapped to the three smallest neighbours
-    and the hub is interleaved after each."""
+    neighbours: the image of the Thue word under a -> (targets[a], hub), where
+    the targets are the hub's three smallest neighbours."""
     if not 0 <= hub < g.vertex_count:
         raise ValueError(f"hub {hub} outside vertex range")
     ns = g.neighbours(hub)
     if len(ns) < 3:
         raise ValueError(f"hub {hub} has degree {len(ns)}, need at least 3")
-    targets = ns[:3]
-    thue = thue_stream()
-
-    def factory(buf: list[int]) -> Iterator[list[int]]:
-        for block in thue.blocks(_BLOCK // 2):
-            out = [hub] * (2 * len(block))
-            out[0::2] = [targets[t] for t in block]
-            yield out
-
-    return InfiniteWordStream(g.vertex_count, factory)
+    m = Morphism(3, g.vertex_count, tuple((t, hub) for t in ns[:3]))
+    return image_stream(m, thue_stream())
 
 
 def cycle_walk_stream(n: int) -> InfiniteWordStream:
@@ -279,17 +275,5 @@ def cycle_walk_stream(n: int) -> InfiniteWordStream:
                 append(x)
                 prev = x
             yield out
-
-    return InfiniteWordStream(n, factory)
-
-
-def cycle_walk_p5_stream(n: int) -> InfiniteWordStream:
-    """Alternative square-free walk on the n-cycle for n >= 5: stay on the
-    five-vertex path 0-1-2-3-4, whose edges the cycle contains."""
-    if n < 5:
-        raise ValueError("the path-based cycle walk needs n >= 5")
-
-    def factory(buf: list[int]) -> Iterator[list[int]]:
-        return p5_walk_stream().blocks()
 
     return InfiniteWordStream(n, factory)

@@ -204,14 +204,13 @@ def brute_force_square_check(w: Word) -> bool:
     return True
 
 
-def _extension_square_free(letters, n: Optional[int] = None) -> bool:
-    """True iff letters[:n] (square-free up to its last letter) stays square-free.
+def _extension_square_free(letters) -> bool:
+    """True iff letters (square-free up to its last letter) is square-free.
 
-    Only squares ending at position n-1 need checking: any square created by
-    appending a letter must use it, i.e. end exactly at the new position.
+    Only squares ending at the last position need checking: any square created
+    by appending a letter must use it, i.e. end exactly at the new position.
     """
-    if n is None:
-        n = len(letters)
+    n = len(letters)
     last = letters[n - 1]
     for L in range(1, n // 2 + 1):
         if last != letters[n - 1 - L]:

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from sqwalk.graphs import (Graph, claw_graph, components, contains_c4,
-                           contains_claw, contains_p5, contains_triangle,
-                           cycle_graph, find_c4, find_claw, find_p5,
-                           find_triangle, induced_subgraph, max_degree,
-                           parse_graph, path_graph, render_graph)
+from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
+                           find_c4, find_claw, find_p5, find_triangle,
+                           induced_subgraph, parse_graph, path_graph,
+                           render_graph)
 
 # fixed patterns for the injection oracle
 _PATTERNS = {
@@ -40,6 +39,22 @@ def all_graphs(n):
 def random_graph(n, rng):
     pairs = list(itertools.combinations(range(n), 2))
     return Graph(n, [p for p in pairs if rng.random() < 0.5])
+
+
+def brute_force_shape(g, verts):
+    """path(k) iff some order of the k vertices makes the component's edges
+    exactly its consecutive pairs; cycle(k) iff k >= 3 and some order does
+    with the closing pair added; else other."""
+    k = len(verts)
+    edges = {e for e in g.edges if e[0] in verts}
+    for kind, closed in (("path", False), ("cycle", True)):
+        if closed and k < 3:
+            break
+        for order in itertools.permutations(verts):
+            pairs = list(zip(order, order[1:])) + ([(order[-1], order[0])] if closed else [])
+            if {(min(p), max(p)) for p in pairs} == edges:
+                return f"{kind}({k})"
+    return "other"
 
 
 class TestParsing:
@@ -92,27 +107,32 @@ class TestConstructors:
         assert claw_graph().edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
     def test_max_degree(self):
-        assert max_degree(claw_graph()) == 3
-        assert max_degree(cycle_graph(5)) == 2
-        assert max_degree(Graph(4, [])) == 0
+        assert max(map(claw_graph().degree, range(4))) == 3
+        assert max(map(cycle_graph(5).degree, range(5))) == 2
+        assert max(map(Graph(4, []).degree, range(4))) == 0
+
+
+# each detector decides containment of its pattern: found iff contained
+CONTAINMENT = [pytest.param(pattern, find, id=f"{pattern}-contains_{pattern}")
+               for pattern, find in (("triangle", find_triangle), ("c4", find_c4),
+                                     ("p5", find_p5), ("claw", find_claw))]
 
 
 class TestDetectors:
     def test_spec_cases(self):
-        assert contains_p5(cycle_graph(6))
-        assert contains_p5(cycle_graph(5))
+        assert find_p5(cycle_graph(6)) is not None
+        assert find_p5(cycle_graph(5)) is not None
         c4 = cycle_graph(4)
-        assert not contains_triangle(c4)
-        assert contains_c4(c4)
-        assert not contains_p5(c4)
+        assert find_triangle(c4) is None
+        assert find_c4(c4) is not None
+        assert find_p5(c4) is None
         p4 = path_graph(4)
-        assert not (contains_triangle(p4) or contains_c4(p4)
-                    or contains_p5(p4) or contains_claw(p4))
+        assert all(find(p4) is None for find in (find_triangle, find_c4, find_p5, find_claw))
 
     def test_claw_is_max_degree_three(self):
         for n in range(1, 6):
             for g in all_graphs(n):
-                assert contains_claw(g) == (max_degree(g) >= 3)
+                assert (find_claw(g) is not None) == (max(map(len, g.adjacency)) >= 3)
 
     def test_witnesses_are_valid(self):
         g = cycle_graph(6)
@@ -126,29 +146,19 @@ class TestDetectors:
         hub, *leaves = find_claw(claw_graph())
         assert hub == 0 and sorted(leaves) == [1, 2, 3]
 
-    @pytest.mark.parametrize("pattern,detector", [
-        ("triangle", contains_triangle),
-        ("c4", contains_c4),
-        ("p5", contains_p5),
-        ("claw", contains_claw),
-    ])
+    @pytest.mark.parametrize("pattern,detector", CONTAINMENT)
     def test_oracle_agreement_exhaustive(self, pattern, detector):
         for n in range(1, 6):
             for g in all_graphs(n):
-                assert detector(g) == injection_oracle(g, pattern), render_graph(g)
+                assert (detector(g) is not None) == injection_oracle(g, pattern), render_graph(g)
 
-    @pytest.mark.parametrize("pattern,detector", [
-        ("triangle", contains_triangle),
-        ("c4", contains_c4),
-        ("p5", contains_p5),
-        ("claw", contains_claw),
-    ])
+    @pytest.mark.parametrize("pattern,detector", CONTAINMENT)
     def test_oracle_agreement_sampled(self, pattern, detector):
         rng = random.Random(hash(pattern) & 0xFFFF)
         for n in (6, 7):
             for _ in range(150):
                 g = random_graph(n, rng)
-                assert detector(g) == injection_oracle(g, pattern), render_graph(g)
+                assert (detector(g) is not None) == injection_oracle(g, pattern), render_graph(g)
 
 
 class TestComponents:
@@ -156,19 +166,16 @@ class TestComponents:
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
         comps = components(g)
         assert [c.vertices for c in comps] == [(0, 1, 2), (3, 4, 5, 6)]
-        assert comps[0].shape.describe() == "path(3)"
-        assert comps[1].shape.describe() == "cycle(4)"
-        assert comps[0].shape.order == (0, 1, 2)
-        assert comps[1].shape.order == (3, 4, 5, 6)
+        assert [c.shape for c in comps] == ["path(3)", "cycle(4)"]
 
     def test_claw_is_other(self):
         comps = components(claw_graph())
         assert len(comps) == 1
-        assert comps[0].shape.describe() == "other"
+        assert comps[0].shape == "other"
 
     def test_single_vertex_is_path_1(self):
         comps = components(Graph(1, []))
-        assert comps[0].shape.describe() == "path(1)"
+        assert comps[0].shape == "path(1)"
 
     def test_partition_and_edge_counts(self):
         rng = random.Random(99)
@@ -179,11 +186,17 @@ class TestComponents:
             assert seen == list(range(6))
             for c in comps:
                 sub, _ = induced_subgraph(g, c.vertices)
-                if c.shape.kind == "path":
+                if c.shape.startswith("path("):
                     assert len(sub.edges) == len(c.vertices) - 1
-                elif c.shape.kind == "cycle":
+                elif c.shape.startswith("cycle("):
                     assert len(sub.edges) == len(c.vertices)
                     assert len(c.vertices) >= 3
+
+    def test_shapes_match_definition_exhaustive(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for c in components(g):
+                    assert c.shape == brute_force_shape(g, c.vertices), render_graph(g)
 
     def test_induced_subgraph_relabels(self):
         g = Graph(5, [(2, 4), (4, 3)])

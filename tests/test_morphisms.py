@@ -298,14 +298,59 @@ class TestPreservation:
             assert (hit.letters if hit else None) == min(hits, default=None)
 
 
+def reference_alignment(m, letters, window):
+    """Alignment by enumerating every concatenation of at most window images.
+
+    Complete when window >= 1 + ceil((len(m(i)) - 1) / shortest image) for
+    each letter i: a misaligned occurrence starts in one image and the rest
+    of it spans at most that many more."""
+    for i in letters:
+        needle = m.images[i]
+        for k in range(1, window + 1):
+            for combo in itertools.product(range(m.source_alphabet_size), repeat=k):
+                starts, concat = {}, []
+                for j in combo:
+                    starts[len(concat)] = j
+                    concat.extend(m.images[j])
+                for p in range(len(concat) - len(needle) + 1):
+                    if (tuple(concat[p:p + len(needle)]) == needle
+                            and (p not in starts or m.images[starts[p]] != needle)):
+                        return False
+    return True
+
+
 class TestAlignment:
     def test_alpha_p5(self):
         assert alignment_test(ALPHA_P5, {0, 1}) is True
         # the image of 2 recurs inside the image of 0
         assert alignment_test(ALPHA_P5, {2}) is False
 
+    def test_alpha_c4(self):
+        assert alignment_test(ALPHA_C4, {0, 1, 2, 3}) is True
+
     def test_identity_alignment(self):
         assert alignment_test(Morphism.identity(3), {0, 1, 2}) is True
+
+    def test_occurrence_across_more_than_three_images(self):
+        # m(1)m(0)m(1)m(0)m(0) = 12122 holds 2122 at position 1, inside m(0)
+        m = Morphism(3, 3, ((2,), (1,), (2, 1, 2, 2)))
+        assert alignment_test(m, {2}) is False
+        assert alignment_test(Morphism(3, 3, ((0,), (1,), (2, 1, 2, 2))), {2}) is True
+
+    def test_matches_enumeration_on_random_morphisms(self):
+        rng = random.Random(2011)
+        verdicts = set()
+        for _ in range(600):
+            n, t = rng.randint(2, 3), rng.randint(1, 3)
+            m = Morphism(n, t, tuple(tuple(rng.randrange(t) for _ in range(rng.randint(1, 6)))
+                                     for _ in range(n)))
+            letters = [a for a in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+            shortest = min(map(len, m.images))
+            window = max(1 + -(-(len(m.images[i]) - 1) // shortest) for i in letters)
+            verdict = alignment_test(m, letters)
+            assert verdict == reference_alignment(m, letters, window), (m, letters)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_rejects_foreign_letters(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,9 @@ from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI
 from sqwalk.search import longest_square_free_walk
 from sqwalk.walks import (Classification, ComponentClassification,
                           apply_colouring, c4_walk_uniform_stream, classify,
-                          claw_walk_stream, cycle_walk_p5_stream,
-                          cycle_walk_stream, dean_reduced_stream,
-                          find_non_edge, is_g_word, p5_walk_stream,
-                          render_classification, thue_stream,
+                          claw_walk_stream, cycle_walk_stream,
+                          dean_reduced_stream, find_non_edge, is_g_word,
+                          p5_walk_stream, render_classification, thue_stream,
                           tournament5_stream)
 from sqwalk.words import (Word, has_factor, is_reduced_free_group_word,
                           is_square_free, is_tournament_word)
@@ -215,7 +214,7 @@ def detector_classify(g):
             if hit is not None:
                 verdict = (True, gamma, name, tuple(back[v] for v in hit))
                 break
-        reports.append(ComponentClassification(comp.vertices, comp.shape.describe(), *verdict))
+        reports.append(ComponentClassification(comp.vertices, comp.shape, *verdict))
     defined = [c for c in reports if c.exists]
     if not defined:
         return Classification(False, None, None, None, tuple(reports))
@@ -375,14 +374,6 @@ class TestCycleWalkStream:
         with pytest.raises(ValueError):
             cycle_walk_stream(2)
 
-    def test_path_based_alternative(self):
-        prefix = cycle_walk_p5_stream(6).prefix(3000)
-        assert is_square_free(prefix)
-        assert is_g_word(cycle_graph(6), prefix)
-        assert max(prefix.letters) == 4  # never leaves the path
-        with pytest.raises(ValueError):
-            cycle_walk_p5_stream(4)
-
 
 class TestC4UniformStream:
     def test_prefix_12(self):
@@ -460,8 +451,6 @@ BUILTIN_STREAMS = {
     "claw": (lambda: claw_walk_stream(claw_graph(), 0), lambda: reference_claw(claw_graph(), 0)),
     "cycle4": (lambda: cycle_walk_stream(4), lambda: reference_cycle(4)),
     "cycle12": (lambda: cycle_walk_stream(12), lambda: reference_cycle(12)),
-    "cycle-p5": (lambda: cycle_walk_p5_stream(6),
-                 lambda: reference_image(BETA_P5, reference_thue())),
 }
 
 
