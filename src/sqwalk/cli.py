@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -203,6 +204,7 @@ def cmd_morphism(args) -> int:
     raise ValueError(f"unknown morphism action {args.action!r}")
 
 
+@functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqwalk",

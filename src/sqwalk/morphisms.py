@@ -6,7 +6,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import Word, _extension_square_free, _square_free_words, is_square_free
+from .words import (Word, _letter_keys, _letter_width, _square_free_words,
+                    _suffix_square_free, is_square_free)
 
 
 @dataclass(frozen=True)
@@ -289,15 +290,16 @@ def preservation_test(m: Morphism, max_len: int,
             if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
                 yield a
 
-    image: list[int] = []
-    ends = [0]  # ends[i]: the length of the image of buf[:i]
+    width = _letter_width(max(map(max, images), default=0))
+    keys = [_letter_keys(img, width) for img in images]
+    image = bytearray()  # the image of buf, packed
+    ends = [0]  # ends[i]: the packed length of the image of buf[:i]
     for buf in _square_free_words(successors([]), successors, range(n), max_len):
-        d = len(buf)
-        del ends[d:]
+        del ends[len(buf):]
         del image[ends[-1]:]
-        for x in images[buf[-1]]:
-            image.append(x)
-            if not _extension_square_free(image):
+        for key in keys[buf[-1]]:
+            image.extend(key)
+            if not _suffix_square_free(image, width):
                 return Word(tuple(buf), n)
         ends.append(len(image))
     return None

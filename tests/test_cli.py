@@ -1,6 +1,10 @@
 """CLI behaviour: golden outputs, exit codes, pipeline self-consistency."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,32 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[-1] == "verdict=true"
 
+    @pytest.mark.parametrize("graph,cap,nodes", [("c3", 3000, 3283), ("p5", 2000, 4913)])
+    def test_deep_caps(self, capsys, graph, cap, nodes):
+        code, out, _ = run(capsys, "search", "walk", "--graph", graph, "--cap", str(cap))
+        assert code == 0
+        assert out == f"outcome=bound_exceeded {cap}\nnodes={nodes}\n"
+
+    def test_walk_with_vertices_past_255(self, capsys, tmp_path):
+        # the path 295-299 walks like p5 after 295 isolated start vertices
+        path = tmp_path / "n300.txt"
+        path.write_text("n=300\n295 296\n296 297\n297 298\n298 299\n")
+        code, out, _ = run(capsys, "search", "walk", "--graph", str(path), "--cap", "500")
+        assert code == 0
+        assert out == "outcome=bound_exceeded 500\nnodes=1338\n"
+
+    def test_tournament_with_letters_past_255(self, capsys):
+        code, out, _ = run(capsys, "search", "tournament", "--alphabet", "300", "--cap", "5")
+        assert code == 0
+        assert out == "outcome=bound_exceeded 5\nnodes=5\n"
+
+    def test_walk_on_the_empty_graph(self, capsys, tmp_path):
+        path = tmp_path / "n0.txt"
+        path.write_text("n=0\n")
+        code, out, _ = run(capsys, "search", "walk", "--graph", str(path))
+        assert code == 0
+        assert out == "outcome=max_length 0\nnodes=0\n"
+
     def test_missing_flags(self, capsys):
         assert run(capsys, "search", "walk", "--cap", "10")[0] == 2
         assert run(capsys, "search", "tournament", "--cap", "10")[0] == 2
@@ -286,3 +316,17 @@ class TestPipelines:
 
     def test_usage_error_no_subcommand(self, capsys):
         assert run(capsys)[0] == 2
+
+
+def test_repeated_calls_match_a_fresh_process(capsys, monkeypatch):
+    # main reuses one parser per process: a usage error, a good command and
+    # --help in a row must each print what they print in a new interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (["search", "walk", "--graph", "p4", "--cap", "x"],
+                 ["search", "walk", "--graph", "p4", "--cap", "20"],
+                 ["--help"], ["search", "--help"], ["check", "nope", "0"],
+                 ["check", "square-free", "0101"]):
+        fresh = subprocess.run([sys.executable, "-m", "sqwalk.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -278,13 +278,23 @@ class TestPreservation:
             preservation_test(ALPHA_P5, 0)
 
     def test_matches_brute_force_on_random_morphisms(self):
+        self.check_random_morphisms(random.Random(2011), 500, lambda x: x)
+
+    @pytest.mark.parametrize("relabel", [lambda x: 300 + x, lambda x: 0x0107 + 0x100 * x,
+                                         lambda x: 70_000 * (x + 1)],
+                             ids=["2byte", "shared-low-byte", "3byte"])
+    def test_wide_target_letters_match_brute_force(self, relabel):
+        self.check_random_morphisms(random.Random(2012), 150, relabel)
+
+    @staticmethod
+    def check_random_morphisms(rng, count, relabel):
         # Tuple order is depth-first preorder, so the sweep's first
         # counterexample is the tuple-order minimum of all counterexamples.
-        rng = random.Random(2011)
-        for _ in range(500):
+        for _ in range(count):
             n, t = rng.randint(1, 3), rng.randint(1, 4)
-            m = Morphism(n, t, tuple(tuple(rng.randrange(t) for _ in range(rng.randint(1, 5)))
-                                     for _ in range(n)))
+            images = tuple(tuple(relabel(rng.randrange(t)) for _ in range(rng.randint(1, 5)))
+                           for _ in range(n))
+            m = Morphism(n, relabel(t - 1) + 1, images)
             forbidden = [Word(tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))), n)
                          for _ in range(rng.randint(0, 2))]
             max_len = rng.randint(1, 5)

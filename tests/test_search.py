@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from sqwalk import words
 from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring
 from sqwalk.search import (SearchResult, _canonical_colourings,
@@ -13,8 +14,7 @@ from sqwalk.search import (SearchResult, _canonical_colourings,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
 from sqwalk.walks import apply_colouring, is_g_word
-from sqwalk.words import (Word, _extension_square_free, brute_force_square_check,
-                          is_tournament_word)
+from sqwalk.words import Word, brute_force_square_check, is_tournament_word
 
 P4_WITNESSES = {"012101232101210", "321232101232123"}
 TOURNAMENT_20 = "01201320120320132032"
@@ -175,6 +175,12 @@ class TestGammaLowerBound:
             verify_gamma_lower_bound(cycle_graph(3), 0, 10)
 
 
+def naive_suffix_square_free(letters):
+    """No square ends at the last letter: a slice compare for every half-length."""
+    n = len(letters)
+    return all(letters[n - L:] != letters[n - 2 * L:n - L] for L in range(1, n // 2 + 1))
+
+
 def reference_search(n, cap, allowed, colour, tournament=False):
     """The recursive depth-first search, kept as the engine's reference."""
     nodes = best = 0
@@ -200,7 +206,7 @@ def reference_search(n, cap, allowed, colour, tournament=False):
                 pairs.add((last, a))
             buf.append(a)
             cols.append(colour[a])
-            if _extension_square_free(cols) and dfs():
+            if naive_suffix_square_free(cols) and dfs():
                 return True
             buf.pop()
             cols.pop()
@@ -249,6 +255,39 @@ class TestMatchesRecursiveReference:
             phi = Colouring(g.vertex_count, 3, images)
             expected = reference_search(g.vertex_count, 100, lambda v: adj[v], images)
             assert max_coloured_walk(g, phi, 100) == expected
+
+
+@pytest.mark.parametrize("tail", [1, 2])
+def test_engine_with_short_direct_tail(monkeypatch, tail):
+    # half-lengths past 1 or 2 go through the tail search from depth 3 or 5 on
+    monkeypatch.setattr(words, "_TAIL", tail)
+    for g in (cycle_graph(3), path_graph(4), path_graph(5), claw_graph()):
+        adj = g.adjacency
+        expected = reference_search(g.vertex_count, 120, lambda v: adj[v], range(g.vertex_count))
+        assert longest_square_free_walk(g, 120) == expected
+    for k in (3, 4, 5):
+        expected = reference_search(k, 60, lambda v: range(k), range(k), tournament=True)
+        assert longest_square_free_tournament(k, 60) == expected
+
+
+class TestWideColours:
+    """Colours past 255 take 2 or 3 bytes in the engine's packed colour word."""
+
+    # 2-byte colours, 2-byte colours sharing one low byte, 3-byte colours
+    RELABELLINGS = {"2byte": lambda c: 300 + c, "shared-low-byte": lambda c: 0x0107 + 0x100 * c,
+                    "3byte": lambda c: 70_000 * (c + 1)}
+
+    @pytest.mark.parametrize("relabel", RELABELLINGS.values(), ids=RELABELLINGS.keys())
+    def test_coloured_walks(self, relabel):
+        for g in (cycle_graph(4), claw_graph(), cycle_graph(5)):
+            adj = g.adjacency
+            for images in _canonical_colourings(g.vertex_count, 3):
+                wide = tuple(relabel(c) for c in images)
+                phi = Colouring(g.vertex_count, max(wide) + 1, wide)
+                expected = reference_search(g.vertex_count, 100, lambda v: adj[v], wide)
+                assert max_coloured_walk(g, phi, 100) == expected
+                # a relabelling of the colours keeps every square
+                assert expected == reference_search(g.vertex_count, 100, lambda v: adj[v], images)
 
 
 class TestDeepCaps:

@@ -257,6 +257,10 @@ class TestExtendsSquareFree:
     def test_examples(self, text, letter, expected):
         assert extends_square_free(w(text), letter) is expected
 
+    def test_rejects_a_negative_letter(self):
+        with pytest.raises(ValueError):
+            extends_square_free(w("01"), -1)
+
     def test_agrees_with_oracle_on_spec_case(self):
         word = w("0120210121")
         assert extends_square_free(word, 0) == brute_force_square_check(w("01202101210"))
@@ -278,6 +282,79 @@ class TestExtendsSquareFree:
         word = Word(tuple(letters), 3)
         if not is_square_free(word):
             assert not is_square_free(word.append(a))
+
+
+def naive_suffix_square_free(letters):
+    """Reference: no square ends at the last letter (a slice compare per half)."""
+    n = len(letters)
+    return all(letters[n - L:] != letters[n - 2 * L:n - L] for L in range(1, n // 2 + 1))
+
+
+def packed_suffix_square_free(letters):
+    width, packed = words._pack(letters)
+    return words._suffix_square_free(bytearray(packed), width)
+
+
+class TestSuffixSquareCheck:
+    """The backtracking engine's packed check, against the slice-per-half
+    reference (exact on any word) and, where the word minus its last letter
+    is square-free, the oracle.  Letters take 1, 2 or 3 bytes; the direct
+    half-lengths stop at 1, 2 or the default _TAIL."""
+
+    STREAMS = TestFindSquareBlockLevels.STREAMS
+    # 1-, 2- and 3-byte letters; 2-byte letters whose bytes recur across
+    # letter boundaries (tail copies off the boundaries); 2-byte letters that
+    # all share one low byte, so the one-byte guard always passes
+    ALPHABETS = (TestFindSquareBlockLevels.ALPHABETS
+                 + (tuple(0x0107 + 0x100 * a for a in range(5)),))
+
+    @pytest.fixture(params=[1, 2, words._TAIL], ids=lambda t: f"tail{t}")
+    def tail(self, request, monkeypatch):
+        monkeypatch.setattr(words, "_TAIL", request.param)
+        return request.param
+
+    def check(self, letters, expected=None):
+        naive = naive_suffix_square_free(letters)
+        if expected is not None:
+            assert naive is expected, letters
+        for alphabet in self.ALPHABETS:
+            relabelled = tuple(alphabet[a] for a in letters)
+            assert packed_suffix_square_free(relabelled) is naive, (alphabet, letters)
+
+    def test_all_short_ternary_words(self, tail):
+        for n in range(1, 8):
+            for letters in itertools.product(range(3), repeat=n):
+                self.check(letters)
+
+    def test_random_words_with_planted_squares(self, tail):
+        rng = random.Random(1000 + tail)
+        for _ in range(400):
+            k = rng.randrange(2, 6)
+            n = rng.randrange(1, 120)
+            letters = tuple(rng.randrange(k) for _ in range(n))
+            self.check(letters)
+            for L in {1, tail, tail + 1, n // 2}:
+                if 1 <= L <= n // 2:
+                    u = letters[n - L:]
+                    self.check(letters[:n - 2 * L] + u + u, expected=False)
+
+    def test_stream_factors(self, tail):
+        # factors of square-free streams: one more letter gives a word whose
+        # only squares end at its last letter, so the oracle decides it too
+        rng = random.Random(2000 + tail)
+        for make in self.STREAMS:
+            src = make().prefix(2000).letters
+            for m in (1, tail, tail + 1, 2 * tail + 1, 2 * tail + 2, 40, 129, 300):
+                f = src[(off := rng.randrange(len(src) - m)):off + m]
+                for a in range(5):
+                    letters = f + (a,)
+                    expected = brute_force_square_check(Word.from_letters(letters))
+                    self.check(letters, expected)
+                for L in {1, tail, tail + 1}:
+                    if L <= m:
+                        self.check(f + f[m - L:], expected=False)
+                self.check(f + f, expected=False)  # L = n // 2, n even
+                self.check((4,) + f + f, expected=False)  # L = n // 2, n odd
 
 
 class TestBinaryExtremal:
