@@ -16,10 +16,10 @@ from .morphisms import (ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
                         image_stream, parse_morphism, preservation_test)
 from .graphs import (Graph, claw_graph, components, cycle_graph, parse_graph,
                      path_graph)
-from .walks import (Classification, apply_colouring, c4_walk_uniform_stream,
-                    classify, claw_walk_stream, cycle_walk_stream,
-                    dean_reduced_stream, is_g_word, p5_walk_stream,
-                    render_classification, thue_stream, tournament5_stream)
+from .walks import (Classification, c4_walk_uniform_stream, classify,
+                    claw_walk_stream, cycle_walk_stream, dean_reduced_stream,
+                    is_g_word, p5_walk_stream, render_classification,
+                    thue_stream, tournament5_stream)
 from .search import (GammaLowerBoundReport, SearchResult,
                      longest_square_free_tournament, longest_square_free_walk,
                      max_coloured_walk, verify_gamma_lower_bound)

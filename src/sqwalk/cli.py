@@ -10,8 +10,8 @@ from typing import Optional
 
 from . import search as search_mod
 from .graphs import Graph, claw_graph, cycle_graph, parse_graph, path_graph
-from .morphisms import (BUILTIN_MORPHISMS, Colouring, Morphism, apply,
-                        alignment_test, crochemore_uniform_test, parse_morphism,
+from .morphisms import (BUILTIN_MORPHISMS, Morphism, alignment_test, apply,
+                        crochemore_uniform_test, parse_morphism,
                         preservation_test)
 from .walks import (c4_walk_uniform_stream, claw_walk_stream, classify,
                     cycle_walk_stream, dean_reduced_stream, find_non_edge,
@@ -47,17 +47,13 @@ def _load_graph(spec: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _load_morphism(spec: str):
+def _load_morphism(spec: str) -> Morphism:
     if spec in BUILTIN_MORPHISMS:
         return BUILTIN_MORPHISMS[spec]
     if not os.path.exists(spec):
         raise ValueError(f"unknown morphism {spec!r} (not a built-in, not a file)")
     with open(spec, "r", encoding="utf-8") as fh:
         return parse_morphism(fh.read())
-
-
-def _as_morphism(m) -> Morphism:
-    return m.as_morphism() if isinstance(m, Colouring) else m
 
 
 def cmd_generate(args) -> int:
@@ -176,18 +172,16 @@ def cmd_morphism(args) -> int:
     if args.action == "apply":
         if args.word is None:
             raise ValueError("morphism apply needs --word")
-        mm = _as_morphism(m)
-        w = Word.from_text(args.word, alphabet_size=mm.source_alphabet_size)
-        print(apply(mm, w).text())
+        w = Word.from_text(args.word, alphabet_size=m.source_alphabet_size)
+        print(apply(m, w).text())
         return 0
     if args.action == "crochemore":
-        print("pass" if crochemore_uniform_test(_as_morphism(m)) else "fail")
+        print("pass" if crochemore_uniform_test(m) else "fail")
         return 0
     if args.action == "preserve":
-        mm = _as_morphism(m)
-        forbidden = [Word.from_text(f, alphabet_size=mm.source_alphabet_size)
+        forbidden = [Word.from_text(f, alphabet_size=m.source_alphabet_size)
                      for f in (args.forbid or [])]
-        hit = preservation_test(mm, args.max_len, forbidden)
+        hit = preservation_test(m, args.max_len, forbidden)
         if hit is None:
             print("pass")
         else:
@@ -198,7 +192,7 @@ def cmd_morphism(args) -> int:
         if not args.letters:
             raise ValueError("morphism align needs --letters")
         letters = [int(part) for part in args.letters.split(",")]
-        ok = alignment_test(_as_morphism(m), letters)
+        ok = alignment_test(m, letters)
         print("true" if ok else "false")
         return 0
     raise ValueError(f"unknown morphism action {args.action!r}")

@@ -34,7 +34,8 @@ class Morphism:
         imgs = tuple(tuple(img) for img in images)
         if target_alphabet_size is None:
             target_alphabet_size = max(max(img) for img in imgs) + 1
-        return cls(len(imgs), target_alphabet_size, imgs)
+        # not cls(...): a Colouring's constructor takes one colour per letter
+        return Morphism(len(imgs), target_alphabet_size, imgs)
 
     @classmethod
     def identity(cls, n: int) -> "Morphism":
@@ -83,42 +84,30 @@ def apply(m: Morphism, w: Word) -> Word:
     return Word(tuple(out), m.target_alphabet_size)
 
 
-@dataclass(frozen=True)
-class Colouring:
-    """Letter-to-letter map from a source alphabet onto colour indices."""
+class Colouring(Morphism):
+    """Letter-to-letter morphism: each source letter's image is one colour."""
 
-    source_alphabet_size: int
-    target_alphabet_size: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source_alphabet_size:
-            raise ValueError("need exactly one colour per source letter")
-        for a, x in enumerate(self.images):
-            if not 0 <= x < self.target_alphabet_size:
-                raise ValueError(f"colour of {a} outside target alphabet")
-
-    @classmethod
-    def from_images(cls, images, target_alphabet_size: Optional[int] = None) -> "Colouring":
-        imgs = tuple(images)
-        if target_alphabet_size is None:
-            target_alphabet_size = max(imgs) + 1 if imgs else 1
-        return cls(len(imgs), target_alphabet_size, imgs)
+    def __init__(self, source_alphabet_size: int, target_alphabet_size: int,
+                 colours: Iterable[int]):
+        super().__init__(source_alphabet_size, target_alphabet_size,
+                         tuple((x,) for x in colours))
 
     @classmethod
     def identity(cls, n: int) -> "Colouring":
-        return cls(n, n, tuple(range(n)))
+        return cls(n, n, range(n))
 
-    def as_morphism(self) -> Morphism:
-        return Morphism(self.source_alphabet_size, self.target_alphabet_size,
-                        tuple((x,) for x in self.images))
+    @property
+    def colours(self) -> tuple[int, ...]:
+        """The colour of each source letter, in order."""
+        return tuple(img[0] for img in self.images)
 
 
 def compose_colouring(phi: Colouring, m: Morphism) -> Morphism:
     """The morphism sending each letter a to phi applied letterwise to m(a)."""
     if phi.source_alphabet_size < m.target_alphabet_size:
         raise ValueError("colouring not defined on the morphism's target alphabet")
-    images = tuple(tuple(phi.images[x] for x in img) for img in m.images)
+    colours = phi.colours
+    images = tuple(tuple(colours[x] for x in img) for img in m.images)
     return Morphism(m.source_alphabet_size, phi.target_alphabet_size, images)
 
 
@@ -249,7 +238,8 @@ def crochemore_uniform_test(m: Morphism) -> bool:
     """Square-freeness certificate for uniform endomorphisms.
 
     A uniform morphism is square-free iff it maps every square-free word of
-    length 3 to a square-free word; this checks exactly those images.
+    length 3 (of length 1 over a one-letter alphabet) to a square-free word;
+    this checks exactly those images.
     Non-uniform input or distinct source/target alphabets is an error, not a
     False verdict.
     """
@@ -258,7 +248,8 @@ def crochemore_uniform_test(m: Morphism) -> bool:
     if m.source_alphabet_size != m.target_alphabet_size:
         raise ValueError("crochemore_uniform_test requires source alphabet == target alphabet")
     n = m.source_alphabet_size
-    for v in itertools.product(range(n), repeat=3):
+    # over one letter no word of length 3 is square-free: the only one is 0
+    for v in itertools.product(range(n), repeat=3 if n > 1 else 1):
         w = Word(v, n)
         if not is_square_free(w):
             continue
@@ -392,7 +383,7 @@ ALPHA_T5 = Morphism(3, 5, (
     _w("0120134", 5),
 ))
 
-BUILTIN_MORPHISMS: dict[str, Morphism | Colouring] = {
+BUILTIN_MORPHISMS: dict[str, Morphism] = {
     "tau": TAU,
     "alpha-p5": ALPHA_P5,
     "beta-p5": BETA_P5,

@@ -34,7 +34,10 @@ class SearchResult:
 
 
 def _longest(words, cap: int, alphabet: int) -> SearchResult:
-    """Consume a backtracking enumeration: the longest words, or the cap reached."""
+    """Consume a backtracking enumeration: the longest words, or the cap reached.
+
+    The engine yields distinct words, in lexicographic order among words of
+    one length, so the witnesses need no sorting."""
     nodes = best = 0
     witnesses: list[tuple[int, ...]] = []
     for buf in words:
@@ -47,22 +50,25 @@ def _longest(words, cap: int, alphabet: int) -> SearchResult:
             witnesses = [tuple(buf)]
         elif d == best:
             witnesses.append(tuple(buf))
-    found = tuple(Word(w, alphabet) for w in sorted(set(witnesses)))
+    found = tuple(Word(w, alphabet) for w in witnesses)
     return SearchResult("max_length", best, found, nodes)
 
 
-def longest_square_free_walk(g: Graph, cap: int) -> SearchResult:
-    """Exhaust all square-free walks of g up to cap letters.
-
-    Depth-first from every start vertex, extending one vertex at a time and
-    pruning with the incremental suffix-square check.
-    """
+def _walks(g: Graph, colour, cap: int) -> SearchResult:
+    """Longest walk of g whose colour word (colour[v] for each vertex v) is
+    square-free, up to cap: depth-first from every start vertex, extending
+    one vertex at a time and pruning with the incremental suffix-square check."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = g.vertex_count
     adjacency = g.adjacency
-    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], range(n), cap)
+    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], colour, cap)
     return _longest(words, cap, max(n, 1))
+
+
+def longest_square_free_walk(g: Graph, cap: int) -> SearchResult:
+    """Exhaust all square-free walks of g up to cap letters."""
+    return _walks(g, range(g.vertex_count), cap)
 
 
 def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult:
@@ -98,14 +104,9 @@ def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:
     The square check runs on the colour word; the walk itself may repeat.
     Witnesses are the walks (vertex words), not their colourings.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if phi.source_alphabet_size != g.vertex_count:
         raise ValueError("colouring must be defined on the graph's vertices")
-    n = g.vertex_count
-    adjacency = g.adjacency
-    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], phi.images, cap)
-    return _longest(words, cap, max(n, 1))
+    return _walks(g, phi.colours, cap)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class GammaLowerBoundReport:
     def render(self) -> str:
         lines = []
         for phi, res in self.entries:
-            phi_text = Word(phi.images, phi.target_alphabet_size).text()
+            phi_text = Word(phi.colours, phi.target_alphabet_size).text()
             lines.append(f"colouring={phi_text} outcome={res.outcome} {res.length}")
         lines.append(f"verdict={'true' if self.verdict else 'false'}")
         return "\n".join(lines)

@@ -1,5 +1,5 @@
-"""Walk words on graphs: validation, colourings, the existence/colour-number
-classifier, and the lazy witness-walk generators for every positive case."""
+"""Walk words on graphs: validation, the existence/colour-number classifier,
+and the lazy witness-walk generators for every positive case."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from typing import Iterator, Optional
 # find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
 from .graphs import (Graph, components, find_c4, find_claw,  # noqa: F401
                      find_p5, find_triangle, induced_subgraph)
-from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, Colouring,
-                        InfiniteWordStream, Morphism, fixed_point_stream,
-                        image_stream)
+from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, InfiniteWordStream,
+                        Morphism, fixed_point_stream, image_stream)
 from .words import Word
 
 
@@ -30,11 +29,6 @@ def find_non_edge(g: Graph, w: Word) -> Optional[tuple[int, tuple[int, int]]]:
 def is_g_word(g: Graph, w: Word) -> bool:
     """True iff every adjacent letter pair of w is an edge of g."""
     return find_non_edge(g, w) is None
-
-
-def apply_colouring(phi: Colouring, w: Word) -> Word:
-    """Letterwise image of w under phi; the length is preserved."""
-    return Word(tuple(phi.images[a] for a in w.letters), phi.target_alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -181,12 +175,11 @@ def classify(g: Graph) -> Classification:
             witness=witness,
             witness_vertices=wverts,
         ))
-    defined = [c for c in comp_reports if c.exists]
-    if not defined:
+    # min keeps the first component of least gamma
+    best = min((c for c in comp_reports if c.exists), key=lambda c: c.gamma, default=None)
+    if best is None:
         return Classification(False, None, None, None, tuple(comp_reports))
-    best_gamma = min(c.gamma for c in defined)
-    best = next(c for c in comp_reports if c.exists and c.gamma == best_gamma)
-    return Classification(True, best_gamma, best.witness, best.witness_vertices,
+    return Classification(True, best.gamma, best.witness, best.witness_vertices,
                           tuple(comp_reports))
 
 

@@ -315,10 +315,14 @@ def has_factor(w: Word, f: Word) -> bool:
     ws = _word_args(w)
     if len(fs) > len(ws):
         return False
-    if max(ws) < 256 and max(fs) < 256:
-        return bytes(ws).find(bytes(fs)) != -1
-    m = len(fs)
-    return any(ws[i:i + m] == fs for i in range(len(ws) - m + 1))
+    width, packed = _pack(ws + fs)  # both at one width
+    text, needle = packed[:len(ws) * width], packed[len(ws) * width:]
+    k = text.find(needle)
+    while k != -1:
+        if k % width == 0:
+            return True
+        k = text.find(needle, k - k % width + width)  # next letter boundary
+    return False
 
 
 def find_tournament_conflict(w: Word) -> Optional[tuple[int, tuple[int, int]]]:

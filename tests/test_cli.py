@@ -244,6 +244,13 @@ class TestMorphism:
         assert code == 0
         assert out == "pass\n"
 
+    def test_crochemore_one_letter_fails(self, capsys, tmp_path):
+        path = tmp_path / "double.morphism"
+        path.write_text("0 -> 00\n")
+        code, out, _ = run(capsys, "morphism", "crochemore", str(path))
+        assert code == 0
+        assert out == "fail\n"
+
     def test_crochemore_non_uniform_is_usage_error(self, capsys):
         code, _, err = run(capsys, "morphism", "crochemore", "tau")
         assert code == 2

@@ -244,6 +244,19 @@ class TestCrochemore:
         with pytest.raises(ValueError):
             crochemore_uniform_test(ALPHA_T5)
 
+    def test_one_letter_alphabet(self):
+        # over one letter the only nonempty square-free word is 0
+        assert crochemore_uniform_test(Morphism(1, 1, ((0, 0),))) is False
+        assert crochemore_uniform_test(Morphism(1, 1, ((0,),))) is True
+
+    def test_agrees_with_preservation_on_random_uniform_morphisms(self):
+        rng = random.Random(2011)
+        for _ in range(3000):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            m = Morphism(n, n, tuple(tuple(rng.randrange(n) for _ in range(k))
+                                     for _ in range(n)))
+            assert crochemore_uniform_test(m) == (preservation_test(m, 3) is None), m
+
     def test_consistency_with_bounded_preservation(self):
         # a positive certificate must agree with a short preservation sweep
         for m in (ALPHA_C4, Morphism.identity(3)):
@@ -373,6 +386,20 @@ class TestColouring:
             Colouring(2, 2, (0,))
         with pytest.raises(ValueError):
             Colouring(2, 2, (0, 2))
+
+    def test_is_a_morphism_of_one_letter_images(self):
+        assert isinstance(PHI_P5, Morphism)
+        assert PHI_P5.images == ((1,), (0,), (2,), (1,), (0,))
+        assert PHI_P5.colours == (1, 0, 2, 1, 0)
+        assert Colouring.identity(3).images == Morphism.identity(3).images
+
+    def test_tests_take_a_colouring_as_it_is(self):
+        explicit = Morphism(5, 3, ((1,), (0,), (2,), (1,), (0,)))
+        for max_len in range(1, 8):
+            assert preservation_test(PHI_P5, max_len) == preservation_test(explicit, max_len)
+        for r in range(1, 6):
+            for letters in itertools.combinations(range(5), r):
+                assert alignment_test(PHI_P5, letters) == alignment_test(explicit, letters)
 
     def test_compose_reproduces_alpha(self):
         assert compose_colouring(PHI_P5, BETA_P5) == ALPHA_P5

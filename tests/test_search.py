@@ -8,12 +8,12 @@ import pytest
 
 from sqwalk import words
 from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
-from sqwalk.morphisms import Colouring
+from sqwalk.morphisms import Colouring, apply
 from sqwalk.search import (SearchResult, _canonical_colourings,
                            longest_square_free_tournament,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
-from sqwalk.walks import apply_colouring, is_g_word
+from sqwalk.walks import is_g_word
 from sqwalk.words import Word, brute_force_square_check, is_tournament_word
 
 P4_WITNESSES = {"012101232101210", "321232101232123"}
@@ -134,7 +134,7 @@ class TestMaxColouredWalk:
         assert res.outcome == "max_length"
         for word in res.witnesses:
             assert is_g_word(cycle_graph(4), word)
-            assert brute_force_square_check(apply_colouring(phi, word))
+            assert brute_force_square_check(apply(phi, word))
 
     def test_rejects_mismatched_colouring(self):
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestGammaLowerBound:
         report = verify_gamma_lower_bound(cycle_graph(3), 3, 200)
         assert bool(report) is False
         exceeded = [phi for phi, res in report.entries if res.bound_exceeded]
-        assert any(phi.images == (0, 1, 2) for phi in exceeded)
+        assert any(phi.colours == (0, 1, 2) for phi in exceeded)
 
     def test_p5_needs_three_colours(self):
         report = verify_gamma_lower_bound(path_graph(5), 2, 50)

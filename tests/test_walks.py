@@ -10,10 +10,10 @@ from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
                            find_c4, find_claw, find_p5, find_triangle,
                            induced_subgraph, path_graph)
 from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
-                              Colouring, fixed_point_stream, image_stream)
+                              Colouring, apply, fixed_point_stream, image_stream)
 from sqwalk.search import longest_square_free_walk
 from sqwalk.walks import (Classification, ComponentClassification,
-                          apply_colouring, c4_walk_uniform_stream, classify,
+                          c4_walk_uniform_stream, classify,
                           claw_walk_stream, cycle_walk_stream,
                           dean_reduced_stream, find_non_edge, is_g_word,
                           p5_walk_stream, render_classification, thue_stream,
@@ -108,15 +108,15 @@ class TestIsGWord:
 
 class TestApplyColouring:
     def test_phi_p5_on_path_order(self):
-        assert apply_colouring(PHI_P5, w("01234")).text() == "10210"
+        assert apply(PHI_P5, w("01234")).text() == "10210"
 
     def test_identity(self):
         ident = Colouring.identity(4)
-        assert apply_colouring(ident, w("0123")).text() == "0123"
+        assert apply(ident, w("0123")).text() == "0123"
 
     def test_length_preserved(self):
         word = p5_walk_stream().prefix(100)
-        assert len(apply_colouring(PHI_P5, word)) == 100
+        assert len(apply(PHI_P5, word)) == 100
 
 
 class TestClassify:
@@ -321,7 +321,14 @@ class TestP5WalkStream:
         p5 = p5_walk_stream()
         alpha = image_stream(ALPHA_P5, thue_stream())
         for n in (0, 1, 7, 24, 100, 5000):
-            assert apply_colouring(PHI_P5, p5.prefix(n)) == alpha.prefix(n)
+            assert apply(PHI_P5, p5.prefix(n)) == alpha.prefix(n)
+
+    def test_colour_stream_is_alpha_stream(self):
+        # criterion 06 on streams: PHI_P5 is a morphism, so image_stream takes it
+        coloured = image_stream(PHI_P5, p5_walk_stream())
+        alpha = image_stream(ALPHA_P5, thue_stream())
+        for n in (0, 1, 24, 5000, 100_000):
+            assert coloured.prefix(n) == alpha.prefix(n)
 
     def test_square_free_prefix(self):
         assert is_square_free(p5_walk_stream().prefix(5000))

@@ -383,6 +383,26 @@ class TestHasFactor:
         assert not has_factor(w("012021"), w("00"))
         assert not has_factor(w("01"), w("012"))
 
+    def test_unaligned_byte_hit_is_no_factor(self):
+        # 1 0 packs to 00 01 00 00, which holds 256 = 01 00 one byte in
+        assert not has_factor(Word((1, 0), 257), Word((256,), 257))
+        assert has_factor(Word((1, 256, 0), 257), Word((256,), 257))
+
+    @pytest.mark.parametrize("pool", [(0, 1, 2), (0, 1, 256, 257), (1, 256, 65536, 65537, 257)])
+    def test_matches_naive_search(self, pool):
+        # pools of 1-, 2- and 3-byte letters; 1, 257, 65537 share a low byte
+        rng = random.Random(len(pool))
+        size = max(pool) + 1
+        for _ in range(1500):
+            ws = tuple(rng.choice(pool) for _ in range(rng.randint(0, 24)))
+            if ws and rng.random() < 0.5:
+                i = rng.randrange(len(ws))
+                fs = ws[i:i + rng.randint(1, 5)]
+            else:
+                fs = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            naive = any(ws[i:i + len(fs)] == fs for i in range(len(ws) - len(fs) + 1))
+            assert has_factor(Word(ws, size), Word(fs, size)) == naive, (ws, fs)
+
 
 class TestTournamentWords:
     @pytest.mark.parametrize("text,expected", [
