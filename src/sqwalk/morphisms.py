@@ -33,7 +33,8 @@ class Morphism:
     def from_images(cls, images, target_alphabet_size: Optional[int] = None) -> "Morphism":
         imgs = tuple(tuple(img) for img in images)
         if target_alphabet_size is None:
-            target_alphabet_size = max(max(img) for img in imgs) + 1
+            # an empty image is left for __post_init__ to reject by name
+            target_alphabet_size = max((x for img in imgs for x in img), default=0) + 1
         # not cls(...): a Colouring's constructor takes one colour per letter
         return Morphism(len(imgs), target_alphabet_size, imgs)
 

@@ -8,9 +8,10 @@ conflated with a proven maximum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, components
 from .morphisms import Colouring
 from .words import Word, _square_free_words
 
@@ -111,21 +112,24 @@ def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:
 
 @dataclass(frozen=True)
 class GammaLowerBoundReport:
-    """Outcome of sweeping every k-colouring class of a graph."""
+    """Outcome of sweeping every k-colouring class of a graph.
+
+    Each entry is (colouring, outcome, length).  Classes with the same
+    quotient share one search, so entries carry no witnesses or node counts."""
 
     verdict: bool  # True: every colouring class stays finite below the cap
     colours: int
     cap: int
-    entries: tuple[tuple[Colouring, SearchResult], ...]
+    entries: tuple[tuple[Colouring, str, int], ...]
 
     def __bool__(self) -> bool:
         return self.verdict
 
     def render(self) -> str:
         lines = []
-        for phi, res in self.entries:
+        for phi, outcome, length in self.entries:
             phi_text = Word(phi.colours, phi.target_alphabet_size).text()
-            lines.append(f"colouring={phi_text} outcome={res.outcome} {res.length}")
+            lines.append(f"colouring={phi_text} outcome={outcome} {length}")
         lines.append(f"verdict={'true' if self.verdict else 'false'}")
         return "\n".join(lines)
 
@@ -150,21 +154,134 @@ def _canonical_colourings(n: int, k: int):
             top[j] = m
 
 
+def _quotient(adjacency, colours):
+    """The quotient of a coloured graph that has the same colour words.
+
+    A monochromatic edge is dropped: it would give a square cc.  Then the
+    colour classes are split, round by round, until the vertices of each
+    class see the same set of classes.  Returns the graph on the classes
+    and each class's colour."""
+    n = len(colours)
+    nbrs = [[w for w in adjacency[v] if colours[w] != colours[v]] for v in range(n)]
+    block, count = colours, len(set(colours))
+    while True:
+        sigs: dict = {}
+        new = [sigs.setdefault((block[v], frozenset([block[w] for w in nbrs[v]])), len(sigs))
+               for v in range(n)]
+        if len(sigs) == count:
+            break
+        block, count = new, len(sigs)
+    colour = [0] * count
+    for v in range(n):
+        colour[new[v]] = colours[v]
+    edges = {(new[v], new[w]) for v in range(n) for w in nbrs[v] if v < w}
+    return Graph(count, edges), colour
+
+
+def _canonical_key(adjacency, colour, component, budget: int = 2000):
+    """A key of the coloured connected graph on component that is equal for
+    two components exactly when they are isomorphic up to renaming colours.
+
+    Vertices are placed in a greedy BFS order.  A vertex's entry is (its
+    first placed neighbour, its colour renamed by first use, the sorted
+    positions of its placed neighbours), and each step places a vertex with
+    the least entry, branching on every tie.  The key is the least entry
+    sequence over the vertices of least (degree, colour-class size) as
+    starts; a branch whose prefix already exceeds the best is cut.  Past
+    budget branch nodes the best sequence so far is returned: it still
+    describes the component exactly, so it is a safe key, only not shared
+    with every isomorphic component."""
+    size = len(component)
+    if size == 1:
+        return ((-1, 0, ()),)
+    class_size = Counter(colour[v] for v in component)
+    rank = {v: (len(adjacency[v]), class_size[colour[v]]) for v in component}
+    low = min(rank.values())
+    place: dict[int, int] = {}
+    rename: dict[int, int] = {}
+    key: list = []
+    best: list = []
+    nodes = 0
+
+    def visit(v, entry):
+        place[v] = len(key)
+        key.append(entry)
+        fresh = colour[v] not in rename
+        if fresh:
+            rename[colour[v]] = len(rename)
+        extend()
+        if fresh:
+            del rename[colour[v]]
+        key.pop()
+        del place[v]
+
+    def extend():
+        nonlocal best, nodes
+        d = len(key)
+        if d == size:
+            if not best or key < best:
+                best = key.copy()
+            return
+        nodes += 1
+        if best and nodes > budget:
+            return
+        entries = {}
+        for u in place:
+            for w in adjacency[u]:
+                if w not in place and w not in entries:
+                    back = tuple(sorted(place[x] for x in adjacency[w] if x in place))
+                    entries[w] = (back[0], rename.get(colour[w], len(rename)), back)
+        least = min(entries.values())
+        if best and key + [least] > best[:d + 1]:
+            return
+        for w, entry in entries.items():
+            if entry == least:
+                visit(w, least)
+
+    for v in component:
+        if rank[v] == low:
+            visit(v, (-1, 0, ()))
+    return tuple(best)
+
+
+def _search_key(key, cap: int) -> tuple[str, int]:
+    """(outcome, length) of the coloured-walk search on the graph a key describes."""
+    size = len(key)
+    g = Graph(size, [(j, i) for i, (_, _, back) in enumerate(key) for j in back])
+    colours = [c for _, c, _ in key]
+    res = max_coloured_walk(g, Colouring(size, max(colours) + 1, colours), cap)
+    return res.outcome, res.length
+
+
 def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundReport:
     """Confirm that no k-colouring of g admits a square-free walk of cap length.
 
     All colourings are enumerated up to permutation of the k colours (the
     square-freeness of a coloured walk is invariant under relabelling the
-    colours).  Verdict True means every class exhausted below the cap.
+    colours).  Each colouring is reduced to its quotient (see _quotient),
+    whose walks have the same colour words; a walk stays in one component,
+    and each distinct component, up to isomorphism and colour renaming, is
+    searched once.  Verdict True means every class exhausted below the cap.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    searched: dict[tuple, tuple[str, int]] = {}  # component key -> (outcome, length)
     entries = []
     verdict = True
     for images in _canonical_colourings(g.vertex_count, k):
-        phi = Colouring(g.vertex_count, k, images)
-        res = max_coloured_walk(g, phi, cap)
-        if res.bound_exceeded:
-            verdict = False
-        entries.append((phi, res))
+        outcome, length = "max_length", 0
+        quotient, colour = _quotient(g.adjacency, images)
+        for component in components(quotient):
+            key = _canonical_key(quotient.adjacency, colour, component.vertices)
+            found = searched.get(key)
+            if found is None:
+                found = searched[key] = _search_key(key, cap)
+            if found[0] == "bound_exceeded":
+                outcome, length = found
+                verdict = False
+                break
+            length = max(length, found[1])
+        entries.append((Colouring(g.vertex_count, k, images), outcome, length))
     return GammaLowerBoundReport(verdict, k, cap, tuple(entries))

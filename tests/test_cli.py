@@ -1,5 +1,6 @@
 """CLI behaviour: golden outputs, exit codes, pipeline self-consistency."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -11,6 +12,37 @@ import pytest
 from sqwalk.cli import main
 
 THUE_27 = "012021012102012021020121012"
+
+
+def _cycle_text(n):
+    return f"n={n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+
+
+def _double_star_text(a, b):
+    """Hubs 0 and 1, with leaves 2..a+1 on 0 and a+2..a+b+1 on 1."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+    return f"n={2 + a + b}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+GAMMA_LOWER_FILES = {"c7": _cycle_text(7), "c8": _cycle_text(8), "s22": _double_star_text(2, 2),
+                     "s33": _double_star_text(3, 3), "n0": "n=0\n"}
+
+# `search gamma-lower --colours K --cap 100` stdout as the one-search-per-class
+# sweep printed it: (graph, K, line count, sha256 of stdout)
+GAMMA_LOWER_STDOUT = [
+    ("c4", 3, 15, "450df30a2a8f613863ce30c2f34600545dec64cd89eba4204b620bc19f25e82e"),
+    ("claw", 3, 15, "4c00584032468faf1affb941524db80ba6edd053c87f9fa81cb63ca68364f6da"),
+    ("c5", 3, 42, "f4ce4c7029e65904660ab5deaa3f5b6f58094d864bd40d785458e38d79d4aea6"),
+    ("c6", 3, 123, "aeb2f219f5dba38dd1326bca5e373719e521506f4c1a8dfe163cae2288a5ec4f"),
+    ("c7", 3, 366, "2be0e8090b65ddacbfad0f0687fbd71cea066a68641f5d0cae1235da876441b8"),
+    ("c8", 3, 1095, "b11adba594cbf97a0e6150a0837478399d251e32ebcc4a5bfaebdd7c17d4be9d"),
+    ("s22", 2, 33, "97949fdf12b0a9e15a030e97d087cbeb9eb70f7b79c9f937e1521878f1404105"),
+    ("s22", 3, 123, "f1e22c86a4aad415b7e6152e6f30c78f3753ebc0951bb861af7382b96e1530ff"),
+    ("s33", 2, 129, "69b79c14a1eee78de0fd5c9adc977764d9fe30d9cf870963ce7ae31cbc847d46"),
+    ("s33", 3, 1095, "557e25ff9f04aedf9d891d7389dec24ba4fcad635bb31e6c4d52a41fd0c79899"),
+    ("n0", 2, 2, "8b420e89dee48748e9a96f047619606d1021304bfe593c8fd8e298401a47ef0f"),
+    ("n0", 3, 2, "8b420e89dee48748e9a96f047619606d1021304bfe593c8fd8e298401a47ef0f"),
+]
 
 
 def run(capsys, *argv):
@@ -173,6 +205,19 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[-1] == "verdict=true"
 
+    @pytest.mark.parametrize("graph,colours,lines,digest", GAMMA_LOWER_STDOUT,
+                             ids=[f"{g}-k{k}" for g, k, _, _ in GAMMA_LOWER_STDOUT])
+    def test_gamma_lower_stdout_is_pinned(self, capsys, tmp_path, graph, colours, lines, digest):
+        spec = graph
+        if graph in GAMMA_LOWER_FILES:
+            spec = str(tmp_path / f"{graph}.txt")
+            Path(spec).write_text(GAMMA_LOWER_FILES[graph])
+        code, out, _ = run(capsys, "search", "gamma-lower", "--graph", spec,
+                           "--colours", str(colours), "--cap", "100")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_walk_bound_exceeded(self, capsys):
         code, out, _ = run(capsys, "search", "walk", "--graph", "c3", "--cap", "50")
         assert code == 0
@@ -250,6 +295,17 @@ class TestMorphism:
         code, out, _ = run(capsys, "morphism", "crochemore", str(path))
         assert code == 0
         assert out == "fail\n"
+
+    @pytest.mark.parametrize("action", [["apply", "--word", "0"], ["crochemore"]],
+                             ids=["apply", "crochemore"])
+    @pytest.mark.parametrize("text,letter", [("0 -> \n", 0), ("0 -> 01\n1 -> \n", 1)],
+                             ids=["first", "second"])
+    def test_empty_image_is_named(self, capsys, tmp_path, action, text, letter):
+        path = tmp_path / "empty.morphism"
+        path.write_text(text)
+        code, out, err = run(capsys, "morphism", action[0], str(path), *action[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: image of {letter} is empty\n"
 
     def test_crochemore_non_uniform_is_usage_error(self, capsys):
         code, _, err = run(capsys, "morphism", "crochemore", "tau")

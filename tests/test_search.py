@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from sqwalk import words
-from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
+from sqwalk.graphs import Graph, claw_graph, components, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring, apply
 from sqwalk.search import (SearchResult, _canonical_colourings,
+                           _canonical_key, _quotient,
                            longest_square_free_tournament,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
@@ -147,8 +148,8 @@ class TestGammaLowerBound:
         assert bool(report) is True
         # set partitions of 4 vertices into at most 3 colour classes
         assert len(report.entries) == 14
-        assert all(res.outcome == "max_length" for _, res in report.entries)
-        assert max(res.length for _, res in report.entries) == 15
+        assert all(outcome == "max_length" for _, outcome, _ in report.entries)
+        assert max(length for _, _, length in report.entries) == 15
 
     def test_claw_needs_four_colours(self):
         assert bool(verify_gamma_lower_bound(claw_graph(), 3, 100)) is True
@@ -156,13 +157,13 @@ class TestGammaLowerBound:
     def test_c3_does_not_need_four(self):
         report = verify_gamma_lower_bound(cycle_graph(3), 3, 200)
         assert bool(report) is False
-        exceeded = [phi for phi, res in report.entries if res.bound_exceeded]
+        exceeded = [phi for phi, outcome, _ in report.entries if outcome == "bound_exceeded"]
         assert any(phi.colours == (0, 1, 2) for phi in exceeded)
 
     def test_p5_needs_three_colours(self):
         report = verify_gamma_lower_bound(path_graph(5), 2, 50)
         assert bool(report) is True
-        assert max(res.length for _, res in report.entries) == 3
+        assert max(length for _, _, length in report.entries) == 3
 
     def test_render(self):
         report = verify_gamma_lower_bound(cycle_graph(4), 3, 100)
@@ -173,6 +174,129 @@ class TestGammaLowerBound:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             verify_gamma_lower_bound(cycle_graph(3), 0, 10)
+
+    def test_rejects_bad_cap(self):
+        with pytest.raises(ValueError):
+            verify_gamma_lower_bound(cycle_graph(4), 3, 0)
+
+
+def double_star(a, b):
+    """Two adjacent hubs 0 and 1, with a and b leaves."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+    return Graph(2 + a + b, edges)
+
+
+def reference_gamma_entries(g, k, cap):
+    """One max_coloured_walk per colouring class: the sweep without quotients."""
+    entries = []
+    for images in _canonical_colourings(g.vertex_count, k):
+        res = max_coloured_walk(g, Colouring(g.vertex_count, k, images), cap)
+        entries.append((images, res.outcome, res.length))
+    return entries
+
+
+def gamma_graphs():
+    yield from [cycle_graph(4), claw_graph(), cycle_graph(5), cycle_graph(6),
+                cycle_graph(7), cycle_graph(8), path_graph(7), double_star(2, 2),
+                double_star(3, 3)]
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(5, 7)
+        yield Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+
+
+class TestGammaQuotientsMatchEveryClass:
+    # binary square-free words stop at 3 letters, so k = 2 reaches cap 3 only
+    @pytest.mark.parametrize("k,cap", [(2, 3), (2, 100), (3, 6), (3, 100)])
+    def test_every_class(self, k, cap):
+        exceeded = 0
+        for g in gamma_graphs():
+            report = verify_gamma_lower_bound(g, k, cap)
+            got = [(phi.colours, outcome, length) for phi, outcome, length in report.entries]
+            expected = reference_gamma_entries(g, k, cap)
+            assert got == expected, g
+            assert report.verdict == all(o == "max_length" for _, o, _ in expected)
+            exceeded += sum(o == "bound_exceeded" for _, o, _ in expected)
+        assert exceeded > 0 or cap == 100
+
+
+def brute_force_form(adjacency, colour):
+    """The least (colours renamed by first use, edges) over all vertex orders."""
+    n = len(colour)
+    pairs = [(v, w) for v in range(n) for w in adjacency[v] if v < w]
+    best = None
+    for order in itertools.permutations(range(n)):
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        rename = {}
+        colours = tuple(rename.setdefault(colour[v], len(rename)) for v in order)
+        edges = tuple(sorted((min(pos[v], pos[w]), max(pos[v], pos[w])) for v, w in pairs))
+        if best is None or (colours, edges) < best:
+            best = (colours, edges)
+    return best
+
+
+def decode(key):
+    """The adjacency sets and colours that a component key lists."""
+    adjacency = [set() for _ in key]
+    for i, (_, _, back) in enumerate(key):
+        for j in back:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return adjacency, [c for _, c, _ in key]
+
+
+def paths_and_cycles():
+    for n in range(1, 7):
+        path = [{w for w in (v - 1, v + 1) if 0 <= w < n} for v in range(n)]
+        shapes = [path] + ([[{(v - 1) % n, (v + 1) % n} for v in range(n)]] if n >= 3 else [])
+        for adjacency in shapes:
+            for colour in _canonical_colourings(n, 3):
+                yield adjacency, list(colour)
+
+
+class TestCanonicalKey:
+    def test_exact_on_coloured_paths_and_cycles(self):
+        """Equal keys exactly when the brute-force forms are equal."""
+        keys, forms = {}, {}
+        for adjacency, colour in paths_and_cycles():
+            key = _canonical_key(adjacency, colour, list(range(len(colour))))
+            form = brute_force_form(adjacency, colour)
+            assert keys.setdefault(key, form) == form
+            assert forms.setdefault(form, key) == key
+            # the key describes the component it came from
+            assert brute_force_form(*decode(key)) == form
+        assert len(keys) == len(forms) > 100
+
+    def test_relabelling_and_recolouring_keep_the_key(self):
+        rng = random.Random(3)
+        sizes = set()
+        for g in gamma_graphs():
+            images = tuple(rng.randrange(3) for _ in range(g.vertex_count))
+            quotient, colour = _quotient(g.adjacency, images)
+            n = quotient.vertex_count
+            for component in components(quotient):
+                key = _canonical_key(quotient.adjacency, colour, component.vertices)
+                sizes.add(len(key))
+                for _ in range(5):
+                    sigma = rng.sample(range(n), n)
+                    tau = rng.sample(range(3), 3)
+                    moved = Graph(n, [(sigma[v], sigma[w]) for v, w in quotient.edges])
+                    recoloured = [0] * n
+                    for v in range(n):
+                        recoloured[sigma[v]] = tau[colour[v]]
+                    order = rng.sample([sigma[v] for v in component.vertices], len(key))
+                    assert _canonical_key(moved.adjacency, recoloured, order) == key
+        assert max(sizes) >= 5
+
+    def test_a_spent_budget_still_describes_the_component(self):
+        # every order of K6 with six colours ties, so the full key branches 6! ways
+        n = 6
+        adjacency = [set(range(n)) - {v} for v in range(n)]
+        colour = list(range(n))
+        key = _canonical_key(adjacency, colour, list(range(n)), budget=3)
+        assert brute_force_form(*decode(key)) == brute_force_form(adjacency, colour)
 
 
 def naive_suffix_square_free(letters):
