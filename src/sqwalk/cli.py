@@ -31,6 +31,10 @@ _BUILTIN_GRAPHS = {
     "claw": claw_graph,
 }
 
+# search gamma-lower refuses a graph with more colouring classes than this:
+# at about 0.2 ms a class, a sweep this long already takes a few minutes.
+MAX_GAMMA_LOWER_CLASSES = 10**6
+
 _STREAMS = "thue, p5, cycle:<n>, c4-uniform, claw, tournament5, dean"
 
 _EPILOG = """\
@@ -160,8 +164,13 @@ def cmd_search(args) -> int:
         if args.colours is None:
             raise ValueError("gamma-lower needs --colours")
         cap = args.cap if args.cap is not None else 100
-        report = search_mod.verify_gamma_lower_bound(
-            _load_graph(args.graph), args.colours, cap)
+        g = _load_graph(args.graph)
+        limit = MAX_GAMMA_LOWER_CLASSES
+        if search_mod.colouring_class_count(g.vertex_count, args.colours, limit) > limit:
+            raise ValueError(
+                f"gamma-lower on {g.vertex_count} vertices with {args.colours} colours "
+                f"would sweep more than {limit} colouring classes")
+        report = search_mod.verify_gamma_lower_bound(g, args.colours, cap)
         print(report.render())
         return 0
     raise ValueError(f"unknown search kind {args.kind!r}")
@@ -191,7 +200,10 @@ def cmd_morphism(args) -> int:
     if args.action == "align":
         if not args.letters:
             raise ValueError("morphism align needs --letters")
-        letters = [int(part) for part in args.letters.split(",")]
+        try:
+            letters = [int(part) for part in args.letters.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed letter list {args.letters!r}") from None
         ok = alignment_test(m, letters)
         print("true" if ok else "false")
         return 0

@@ -154,6 +154,25 @@ def _canonical_colourings(n: int, k: int):
             top[j] = m
 
 
+def colouring_class_count(n: int, k: int, limit: int) -> int:
+    """How many colourings _canonical_colourings(n, k) yields: the sum of the
+    Stirling numbers S(n, j) over j <= k, or limit + 1 once that passes limit.
+
+    Row m of S(m, j) = j * S(m-1, j) + S(m-1, j-1) is built for j <= k, and
+    the count stops at the first row whose sum passes limit.  For k >= 2 the
+    sums grow at least as S(m, 2) = 2**(m-1) - 1 does, so that takes about
+    log2(limit) rows whatever n and k are."""
+    if k <= 1:
+        return int(k == 1 or n == 0)
+    row = [1]  # row[j] = S(m, j) for j <= min(m, k), from m = 0
+    for m in range(1, n + 1):
+        prev = row + [0]  # S(m-1, m) = 0
+        row = [0] + [j * prev[j] + prev[j - 1] for j in range(1, min(m, k) + 1)]
+        if sum(row) > limit:
+            return limit + 1
+    return sum(row)
+
+
 def _quotient(adjacency, colours):
     """The quotient of a coloured graph that has the same colour words.
 

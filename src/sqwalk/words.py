@@ -190,33 +190,53 @@ def is_square_free(w: Word) -> bool:
     return find_square(w) is None
 
 
+# Half-lengths below _ANCHOR are listed by the oracle's one-letter search;
+# longer ones by a search for the _ANCHOR letters that start the square.  Of
+# 8, 12 and 16, 8 ran slowest and 12 and 16 about the same.
+_ANCHOR = 12
+
+
 def brute_force_square_check(w: Word) -> bool:
     """Independent square-freeness oracle: test every (start, length) candidate.
 
-    For each start i and each half-length L it compares w[i:i+L] against
-    w[i+L:i+2L] directly.  Kept deliberately separate from the shift scan in
-    is_square_free so the two implementations cross-validate each other.
+    For each start i it lists the second-half starts j = i + L at which a
+    square w[i:j] == w[j:2j-i] could begin, and compares the two halves
+    directly.  On letters below 256 the word is a bytes string, and
+    bytes.find lists the candidates.  For L < _ANCHOR, the j with
+    w[j] == w[i].  For longer L a square repeats the anchor w[i:i+_ANCHOR]
+    at j, so the occurrences of the anchor with L in [_ANCHOR, (n-i)//2] are
+    the only candidates.  Wider letters take a plain double loop.  Kept
+    deliberately separate from find_square (no packing, no XOR) so the two
+    implementations cross-validate each other.
     """
     letters = _word_args(w)
     n = len(letters)
-    if n < 2:
-        return True
-    if max(letters) < 256:
+    try:
         s = bytes(letters)
-        mv = memoryview(s)
+    except ValueError:  # a letter past 255: the plain double loop
         for i in range(n - 1):
-            hi = i + (n - i) // 2  # largest admissible second-half start
-            ch = s[i]
-            j = s.find(ch, i + 1, hi + 1)
-            while j != -1:
-                if mv[i:j] == mv[j:2 * j - i]:
+            for L in range(1, (n - i) // 2 + 1):
+                if letters[i] == letters[i + L] and letters[i:i + L] == letters[i + L:i + 2 * L]:
                     return False
-                j = s.find(ch, j + 1, hi + 1)
         return True
+    A = _ANCHOR
     for i in range(n - 1):
-        for L in range(1, (n - i) // 2 + 1):
-            if letters[i] == letters[i + L] and letters[i:i + L] == letters[i + L:i + 2 * L]:
+        top = (n - i) // 2  # largest half-length from start i
+        ch = s[i]
+        hi = i + (top if top < A else A - 1) + 1
+        j = s.find(ch, i + 1, hi)
+        while j != -1:
+            if s[i:j] == s[j:2 * j - i]:
                 return False
+            j = s.find(ch, j + 1, hi)
+        if top >= A:
+            anchor = s[i:i + A]
+            hi = i + top + A  # an anchor ending here has L = top
+            j = s.find(anchor, i + A, hi)
+            while j != -1:
+                if s[i:j] == s[j:2 * j - i]:
+                    return False
+                j = s.find(anchor, j + 1, hi)
     return True
 
 

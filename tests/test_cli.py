@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sqwalk.cli import main
+from sqwalk.cli import MAX_GAMMA_LOWER_CLASSES, main
 
 THUE_27 = "012021012102012021020121012"
 
@@ -241,6 +241,16 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[-1] == "verdict=true"
 
+    def test_gamma_lower_refuses_too_many_classes(self, capsys, tmp_path):
+        # about 3**100000 / 6 classes: counted at once, refused before any sweep
+        path = tmp_path / "p100000.txt"
+        path.write_text("n=100000\n" + "".join(f"{i} {i + 1}\n" for i in range(99_999)))
+        code, out, err = run(capsys, "search", "gamma-lower", "--graph", str(path),
+                             "--colours", "3", "--cap", "10")
+        assert (code, out) == (2, "")
+        assert err == ("error: gamma-lower on 100000 vertices with 3 colours would sweep "
+                       f"more than {MAX_GAMMA_LOWER_CLASSES} colouring classes\n")
+
     @pytest.mark.parametrize("graph,cap,nodes", [("c3", 3000, 3283), ("p5", 2000, 4913)])
     def test_deep_caps(self, capsys, graph, cap, nodes):
         code, out, _ = run(capsys, "search", "walk", "--graph", graph, "--cap", str(cap))
@@ -331,6 +341,12 @@ class TestMorphism:
         code, out, _ = run(capsys, "morphism", "align", "alpha-p5",
                            "--letters", "2")
         assert out == "false\n"
+
+    @pytest.mark.parametrize("letters", ["a", "0,,1", "0;1"])
+    def test_align_malformed_letters(self, capsys, letters):
+        code, out, err = run(capsys, "morphism", "align", "alpha-p5", "--letters", letters)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed letter list {letters!r}\n"
 
     def test_morphism_file(self, capsys, tmp_path):
         path = tmp_path / "m.morphism"

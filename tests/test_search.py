@@ -10,7 +10,7 @@ from sqwalk import words
 from sqwalk.graphs import Graph, claw_graph, components, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring, apply
 from sqwalk.search import (SearchResult, _canonical_colourings,
-                           _canonical_key, _quotient,
+                           _canonical_key, _quotient, colouring_class_count,
                            longest_square_free_tournament,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
@@ -178,6 +178,28 @@ class TestGammaLowerBound:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             verify_gamma_lower_bound(cycle_graph(4), 3, 0)
+
+
+class TestColouringClassCount:
+    def test_counts_the_enumerated_classes(self):
+        for n in range(9):
+            for k in range(1, 10):
+                assert colouring_class_count(n, k, 10**9) == len(list(_canonical_colourings(n, k))), (n, k)
+        assert colouring_class_count(3, 0, 10) == 0
+        assert colouring_class_count(0, 0, 10) == 1
+
+    def test_saturates_past_the_limit(self):
+        # S(10, 1) + S(10, 2) + S(10, 3) = 1 + 511 + 9330, the classes of S(4,4)
+        assert colouring_class_count(10, 3, 9842) == 9842
+        assert colouring_class_count(10, 3, 9841) == 9842
+        assert colouring_class_count(15, 3, 10**7) == 2_391_485
+        assert colouring_class_count(15, 3, 10**6) == 10**6 + 1
+
+    def test_huge_graphs_count_at_once(self):
+        # each call stops within a few dozen rows, whatever n and k are
+        for k in (2, 3, 10**9):
+            assert colouring_class_count(10**9, k, 10**6) == 10**6 + 1
+        assert colouring_class_count(10**9, 1, 10**6) == 1
 
 
 def double_star(a, b):

@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqwalk import words
-from sqwalk.walks import (c4_walk_uniform_stream, p5_walk_stream, thue_stream,
-                          tournament5_stream)
+from sqwalk.graphs import claw_graph
+from sqwalk.walks import (c4_walk_uniform_stream, claw_walk_stream, p5_walk_stream,
+                          thue_stream, tournament5_stream)
 from sqwalk.words import (Word, brute_force_square_check, extends_square_free,
                           find_square, has_factor, is_reduced_free_group_word,
                           is_square_free, is_tournament_word)
@@ -246,6 +247,66 @@ class TestBruteForceOracle:
     def test_agreement_property(self, letters):
         word = Word(tuple(letters), 4)
         assert is_square_free(word) == brute_force_square_check(word)
+
+    STREAMS = TestFindSquareBlockLevels.STREAMS + (lambda: claw_walk_stream(claw_graph(), 0),)
+    ANCHOR = words._ANCHOR  # read before any test patches it
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        """Stream factors of 24-3000 letters, each paired with the reference
+        answer: square-free factors up to 1000 letters, and factors with a
+        square uu planted at start 0 or flush with the end, at the
+        half-lengths on either side of the anchor's length, a random one and
+        n // 2.  (The reference's slice compares make it cubic on long
+        square-free words.)"""
+        rng = random.Random(12)
+        a = self.ANCHOR
+        out = []
+        for make in self.STREAMS:
+            src = make().prefix(4000).letters
+            for n in (24, 25, rng.randrange(26, 601), rng.randrange(601, 1001), 3000):
+                f = src[(off := rng.randrange(len(src) - n)):off + n]
+                if n <= 1000:
+                    out.append(f)
+                for L in {1, a - 1, a, a + 1, 2 * a, rng.randrange(1, n // 2 + 1), n // 2}:
+                    if L <= n // 2:
+                        g = f[:n - L]
+                        out += [g[:L] + g, g + g[-L:]]
+        return [(letters, naive_find_square(letters) is None) for letters in out]
+
+    def test_stream_factors(self, factors):
+        assert sum(expected for _, expected in factors) == 5 * 4  # the square-free factors
+        for letters, expected in factors:
+            assert brute_force_square_check(letters) is expected, letters
+
+    def test_stream_factors_wide(self, factors):
+        # relabelled by 300 a, the factors take the path for letters past 255,
+        # a double loop that is cubic on long square-free words
+        for letters, expected in factors:
+            if len(letters) <= 600:
+                wide = tuple(300 * a for a in letters)
+                assert brute_force_square_check(wide) is expected, letters
+
+    @pytest.mark.parametrize("anchor", [1, 2, 3])
+    def test_small_anchor(self, monkeypatch, factors, anchor):
+        # the anchor search then lists the candidates of nearly every half-length
+        monkeypatch.setattr(words, "_ANCHOR", anchor)
+        for n in range(11):
+            for letters in itertools.product(range(3), repeat=n):
+                assert brute_force_square_check(letters) is (naive_find_square(letters) is None), letters
+        for letters, expected in factors:
+            if not expected and len(letters) <= 1000:
+                assert brute_force_square_check(letters) is False, letters
+
+    def test_independent_of_find_square(self, monkeypatch):
+        def banned(*args):
+            raise AssertionError("the oracle called a find_square helper")
+        thue = thue_stream().prefix(500)
+        for name in ("find_square", "_pack", "_letter_keys", "_least_block_half",
+                     "_suffix_square_free"):
+            monkeypatch.setattr(words, name, banned)
+        assert brute_force_square_check(thue)
+        assert not brute_force_square_check(Word.from_text("0,300,0,300"))
 
 
 class TestExtendsSquareFree:
