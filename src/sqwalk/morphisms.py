@@ -79,10 +79,10 @@ def parse_morphism(text: str) -> Morphism:
 
 def apply(m: Morphism, w: Word) -> Word:
     """Image of w under m: the concatenation of the letter images."""
-    out: list[int] = []
-    for a in w.letters:
-        out.extend(m.image(a))
-    return Word(tuple(out), m.target_alphabet_size)
+    top = max(w.letters, default=-1)
+    if top >= m.source_alphabet_size:
+        raise ValueError(f"letter {top} outside source alphabet")
+    return Word(tuple(_expand(m.images, w.letters)), m.target_alphabet_size)
 
 
 class Colouring(Morphism):

@@ -197,7 +197,12 @@ def _quotient(adjacency, colours):
     return Graph(count, edges), colour
 
 
-def _canonical_key(adjacency, colour, component, budget: int = 2000):
+# Branch nodes a canonical key may spend before it settles for the best key
+# found so far.
+_KEY_BUDGET = 2000
+
+
+def _canonical_key(adjacency, colour, component):
     """A key of the coloured connected graph on component that is equal for
     two components exactly when they are isomorphic up to renaming colours.
 
@@ -207,7 +212,7 @@ def _canonical_key(adjacency, colour, component, budget: int = 2000):
     the least entry, branching on every tie.  The key is the least entry
     sequence over the vertices of least (degree, colour-class size) as
     starts; a branch whose prefix already exceeds the best is cut.  Past
-    budget branch nodes the best sequence so far is returned: it still
+    _KEY_BUDGET branch nodes the best sequence so far is returned: it still
     describes the component exactly, so it is a safe key, only not shared
     with every isomorphic component."""
     size = len(component)
@@ -242,7 +247,7 @@ def _canonical_key(adjacency, colour, component, budget: int = 2000):
                 best = key.copy()
             return
         nodes += 1
-        if best and nodes > budget:
+        if best and nodes > _KEY_BUDGET:
             return
         entries = {}
         for u in place:

@@ -166,15 +166,8 @@ def classify(g: Graph) -> Classification:
     adj = g.adjacency
     comp_reports = []
     for comp in components(g):
-        exists, gamma, witness, wverts = _classify_connected(adj, comp.vertices)
         comp_reports.append(ComponentClassification(
-            vertices=comp.vertices,
-            shape_text=comp.shape,
-            exists=exists,
-            gamma=gamma,
-            witness=witness,
-            witness_vertices=wverts,
-        ))
+            comp.vertices, comp.shape, *_classify_connected(adj, comp.vertices)))
     # min keeps the first component of least gamma
     best = min((c for c in comp_reports if c.exists), key=lambda c: c.gamma, default=None)
     if best is None:
@@ -183,20 +176,17 @@ def classify(g: Graph) -> Classification:
                           tuple(comp_reports))
 
 
+def _verdict(c) -> str:
+    """The key=value verdict of a Classification or ComponentClassification."""
+    return f"exists=true gamma={c.gamma} witness={c.witness}" if c.exists else "exists=false"
+
+
 def render_classification(c: Classification) -> str:
     """Stable key=value rendering, one line plus one line per component."""
-    if c.exists:
-        lines = [f"exists=true gamma={c.gamma} witness={c.witness}"]
-    else:
-        lines = ["exists=false"]
+    lines = [_verdict(c)]
     for idx, comp in enumerate(c.components):
         vs = ",".join(str(v) for v in comp.vertices)
-        line = f"component={idx} vertices={vs} shape={comp.shape_text}"
-        if comp.exists:
-            line += f" exists=true gamma={comp.gamma} witness={comp.witness}"
-        else:
-            line += " exists=false"
-        lines.append(line)
+        lines.append(f"component={idx} vertices={vs} shape={comp.shape_text} {_verdict(comp)}")
     return "\n".join(lines)
 
 

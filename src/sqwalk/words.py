@@ -201,11 +201,14 @@ def brute_force_square_check(w: Word) -> bool:
 
     For each start i it lists the second-half starts j = i + L at which a
     square w[i:j] == w[j:2j-i] could begin, and compares the two halves
-    directly.  On letters below 256 the word is a bytes string, and
-    bytes.find lists the candidates.  For L < _ANCHOR, the j with
-    w[j] == w[i].  For longer L a square repeats the anchor w[i:i+_ANCHOR]
-    at j, so the occurrences of the anchor with L in [_ANCHOR, (n-i)//2] are
-    the only candidates.  Wider letters take a plain double loop.  Kept
+    directly.  The word becomes one string: a bytes string when every letter
+    is below 256, else a str with one code point per distinct letter, in
+    order of first occurrence.  Both relabellings are injective, so squares
+    are unchanged, and str.find / bytes.find list the candidates.  For
+    L < _ANCHOR, the j with w[j] == w[i].  For longer L a square repeats the
+    anchor w[i:i+_ANCHOR] at j, so the occurrences of the anchor with L in
+    [_ANCHOR, (n-i)//2] are the only candidates.  A word with more than
+    0x110000 distinct letters has no such str and raises ValueError.  Kept
     deliberately separate from find_square (no packing, no XOR) so the two
     implementations cross-validate each other.
     """
@@ -213,12 +216,9 @@ def brute_force_square_check(w: Word) -> bool:
     n = len(letters)
     try:
         s = bytes(letters)
-    except ValueError:  # a letter past 255: the plain double loop
-        for i in range(n - 1):
-            for L in range(1, (n - i) // 2 + 1):
-                if letters[i] == letters[i + L] and letters[i:i + L] == letters[i + L:i + 2 * L]:
-                    return False
-        return True
+    except ValueError:  # a letter past 255: one code point per distinct letter
+        code = {a: chr(i) for i, a in enumerate(dict.fromkeys(letters))}
+        s = "".join([code[a] for a in letters])
     A = _ANCHOR
     for i in range(n - 1):
         top = (n - i) // 2  # largest half-length from start i

@@ -82,8 +82,8 @@ class TestApply:
         assert apply(TAU, w("", 3)).text() == ""
 
     def test_rejects_letters_outside_source(self):
-        with pytest.raises(ValueError):
-            apply(TAU, Word((0, 3), 4))
+        with pytest.raises(ValueError, match="letter 5 outside source alphabet"):
+            apply(TAU, Word((0, 3, 5), 6))
 
     def test_image_lengths(self):
         assert [len(img) for img in ALPHA_P5.images] == [24, 16, 8]

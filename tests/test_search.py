@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sqwalk import words
+from sqwalk import search, words
 from sqwalk.graphs import Graph, claw_graph, components, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring, apply
 from sqwalk.search import (SearchResult, _canonical_colourings,
@@ -312,12 +312,13 @@ class TestCanonicalKey:
                     assert _canonical_key(moved.adjacency, recoloured, order) == key
         assert max(sizes) >= 5
 
-    def test_a_spent_budget_still_describes_the_component(self):
+    def test_a_spent_budget_still_describes_the_component(self, monkeypatch):
         # every order of K6 with six colours ties, so the full key branches 6! ways
+        monkeypatch.setattr(search, "_KEY_BUDGET", 3)
         n = 6
         adjacency = [set(range(n)) - {v} for v in range(n)]
         colour = list(range(n))
-        key = _canonical_key(adjacency, colour, list(range(n)), budget=3)
+        key = _canonical_key(adjacency, colour, list(range(n)))
         assert brute_force_form(*decode(key)) == brute_force_form(adjacency, colour)
 
 

@@ -183,10 +183,13 @@ class TestClassify:
         assert set(c.witness_vertices) == {3, 4, 5}
 
     def test_render(self):
-        text = render_classification(classify(cycle_graph(4)))
-        lines = text.splitlines()
-        assert lines[0] == "exists=true gamma=4 witness=C4"
-        assert lines[1].startswith("component=0 vertices=0,1,2,3 shape=cycle(4)")
+        g = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+        assert render_classification(classify(g)).splitlines() == [
+            "exists=true gamma=4 witness=C4",
+            "component=0 vertices=0,1,2 shape=path(3) exists=false",
+            "component=1 vertices=3,4,5,6 shape=cycle(4) exists=true gamma=4 witness=C4",
+            "component=2 vertices=7,8 shape=path(2) exists=false",
+        ]
         assert render_classification(classify(path_graph(4))).splitlines()[0] == "exists=false"
 
     def test_agrees_with_bounded_search_small(self):

@@ -280,11 +280,11 @@ class TestBruteForceOracle:
             assert brute_force_square_check(letters) is expected, letters
 
     def test_stream_factors_wide(self, factors):
-        # relabelled by 300 a, the factors take the path for letters past 255,
-        # a double loop that is cubic on long square-free words
+        # relabelled by 300 a, the factors take the str path for letters past
+        # 255; shifted by 2**40 no letter is a code point itself, so only the
+        # first-occurrence relabelling can run them
         for letters, expected in factors:
-            if len(letters) <= 600:
-                wide = tuple(300 * a for a in letters)
+            for wide in (tuple(300 * a for a in letters), tuple(2**40 + a for a in letters)):
                 assert brute_force_square_check(wide) is expected, letters
 
     @pytest.mark.parametrize("anchor", [1, 2, 3])
