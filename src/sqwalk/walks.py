@@ -12,15 +12,22 @@ from .graphs import (Graph, components, find_c4, find_claw,  # noqa: F401
                      find_p5, find_triangle, induced_subgraph)
 from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, InfiniteWordStream,
                         Morphism, fixed_point_stream, image_stream)
-from .words import Word
+from .words import Word, _first_pair, _pair_codes, _pair_table
 
 
 def find_non_edge(g: Graph, w: Word) -> Optional[tuple[int, tuple[int, int]]]:
-    """First adjacent letter pair of w that is not an edge of g, or None."""
+    """First adjacent letter pair of w that is not an edge of g, or None.
+
+    Over at most 16 letters each pair is one byte (words._pair_codes), and a
+    256-byte table marks the codes that are not arcs of g.
+    """
     if w.alphabet_size != g.vertex_count:
         raise ValueError(
             f"word alphabet size {w.alphabet_size} != vertex count {g.vertex_count}")
     arcs = g.edges | {(j, i) for i, j in g.edges}
+    codes = _pair_codes(w)
+    if codes is not None:
+        return _first_pair(w, codes, _pair_table(arcs, 0))
     if arcs.issuperset(pairwise(w.letters)):
         return None
     return next((p, pair) for p, pair in enumerate(pairwise(w.letters)) if pair not in arcs)

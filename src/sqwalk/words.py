@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Optional
+
+
+# _BYTES[:n] lists the letters of an alphabet of n <= 256 letters as bytes.
+_BYTES = bytes(range(256))
+# Letters 0-9 to their ASCII digits and back: the digit format of Word.text.
+_DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
+_UNDIGITS = bytes.maketrans(b"0123456789", _BYTES[:10])
 
 
 @dataclass(frozen=True)
@@ -16,6 +24,15 @@ class Word:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
+        if type(self.letters) is tuple:  # bytes() of an int or a buffer would not list letters
+            # Every letter in the alphabet iff deleting the alphabet's bytes
+            # leaves nothing.  The loop below decides every other case and
+            # names the first bad letter.
+            try:
+                if not bytes(self.letters).translate(None, _BYTES[:self.alphabet_size]):
+                    return
+            except (TypeError, ValueError):  # a letter past 255, negative or not an int
+                pass
         for a in self.letters:
             if not 0 <= a < self.alphabet_size:
                 raise ValueError(
@@ -33,22 +50,25 @@ class Word:
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
         """Parse a word from text.
 
-        Two formats: a run of decimal digits ("012021"), or comma-separated
+        Two formats: a run of ASCII digits ("012021"), or comma-separated
         decimal integers ("0,1,11,3") for alphabets past size 10.  The comma
         format is detected by the presence of a comma.
         """
         text = text.strip()
         if not text:
             return cls.from_letters((), alphabet_size)
-        if "," in text:
-            try:
-                ls = tuple(int(part) for part in text.split(","))
-            except ValueError:
-                raise ValueError(f"malformed word {text!r}") from None
-        else:
-            if not text.isdigit():
+        if "," not in text:
+            digits = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+            if digits.translate(None, b"0123456789"):
                 raise ValueError(f"malformed word {text!r}")
-            ls = tuple(int(c) for c in text)
+            ls = digits.translate(_UNDIGITS)
+            if alphabet_size is None:  # one more than the largest digit present
+                alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
+            return cls(tuple(ls), alphabet_size)
+        try:
+            ls = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"malformed word {text!r}") from None
         if any(a < 0 for a in ls):
             raise ValueError(f"negative letter in {text!r}")
         return cls.from_letters(ls, alphabet_size)
@@ -56,7 +76,10 @@ class Word:
     def text(self) -> str:
         """Render: digit string for alphabets up to 10, comma-separated beyond."""
         if self.alphabet_size <= 10:
-            return "".join(str(a) for a in self.letters)
+            try:
+                return bytes(self.letters).translate(_DIGITS).decode()
+            except TypeError:  # a letter that is not an int
+                return "".join(str(a) for a in self.letters)
         return ",".join(str(a) for a in self.letters)
 
     def append(self, letter: int) -> "Word":
@@ -345,11 +368,68 @@ def has_factor(w: Word, f: Word) -> bool:
     return False
 
 
+# Alphabets of at most _PAIR_ALPHABET letters code each adjacent letter pair
+# as one byte (_pair_codes); wider ones keep tuple pairs.
+_PAIR_ALPHABET = 16
+
+
+def _pair_codes(w) -> Optional[bytes]:
+    """Byte i is 16 * w[i] + w[i + 1], or None for a wider alphabet.
+
+    Every letter is below 16, so shifting the packed word left by four bits
+    puts each letter in the high half of its byte and adding the word one
+    letter on fills the low halves: no byte carries.  None also when w is
+    not a Word (its alphabet is unknown), or its alphabet size or a letter
+    is not an int.
+    """
+    if not (isinstance(w, Word) and isinstance(w.alphabet_size, int)
+            and w.alphabet_size <= _PAIR_ALPHABET):
+        return None
+    try:
+        s = bytes(w.letters)
+    except TypeError:
+        return None
+    if len(s) < 2:
+        return b""
+    return ((int.from_bytes(s[:-1], "big") << 4)
+            + int.from_bytes(s[1:], "big")).to_bytes(len(s) - 1, "big")
+
+
+def _pair_table(pairs, hit: int) -> bytes:
+    """The 256-byte translation table of pair codes that maps the code of
+    each pair (a, b) in pairs to hit, and every other code to 1 - hit."""
+    table = bytearray([1 - hit]) * 256
+    for a, b in pairs:
+        table[16 * a + b] = hit
+    return bytes(table)
+
+
+def _first_pair(w, codes: bytes, table) -> Optional[tuple[int, tuple[int, int]]]:
+    """(p, (w[p], w[p + 1])) for the first pair code that table maps to 1."""
+    p = codes.translate(table).find(1)
+    return None if p < 0 else (p, (w.letters[p], w.letters[p + 1]))
+
+
 def find_tournament_conflict(w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     """First position p where the pair w[p]w[p+1] reverses an earlier factor.
 
-    Returns (p, (w[p], w[p+1])) or None if w is a tournament word.
+    Returns (p, (w[p], w[p+1])) or None if w is a tournament word.  Over at
+    most 16 letters: the pairs ab and ba first conflict at the later of their
+    first occurrences, and the least of those over all pairs {a, b} is the
+    first conflict.
     """
+    codes = _pair_codes(w)
+    if codes is not None:
+        best = len(codes)
+        n = w.alphabet_size
+        for a in range(n):
+            for b in range(a + 1, n):
+                p = codes.find(16 * a + b, 0, best)
+                if p >= 0:
+                    q = codes.find(16 * b + a, 0, best)
+                    if q >= 0:
+                        best = max(p, q)
+        return (best, (w.letters[best], w.letters[best + 1])) if best < len(codes) else None
     letters = _word_args(w)
     seen: set[tuple[int, int]] = set()
     for p in range(len(letters) - 1):
@@ -367,19 +447,19 @@ def is_tournament_word(w: Word) -> bool:
 
 # Free group on two generators: letters 0, 1 are the generators and
 # letters 2, 3 their respective inverses.
-_REDUCTION_PAIRS = {(0, 2), (2, 0), (1, 3), (3, 1)}
+_REDUCTION_PAIRS = ((0, 2), (2, 0), (1, 3), (3, 1))
+_REDUCTION_TABLE = _pair_table(_REDUCTION_PAIRS, 1)
 
 
 def find_reduction_violation(w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     """First adjacent generator/inverse pair in w, or None if reduced."""
     if w.alphabet_size != 4:
         raise ValueError("reduced-word check requires alphabet_size 4")
-    letters = w.letters
-    for p in range(len(letters) - 1):
-        pair = (letters[p], letters[p + 1])
-        if pair in _REDUCTION_PAIRS:
-            return (p, pair)
-    return None
+    codes = _pair_codes(w)
+    if codes is None:  # an alphabet size or letters that are not ints
+        return next(((p, pair) for p, pair in enumerate(pairwise(w.letters))
+                     if pair in _REDUCTION_PAIRS), None)
+    return _first_pair(w, codes, _REDUCTION_TABLE)
 
 
 def is_reduced_free_group_word(w: Word) -> bool:

@@ -147,6 +147,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", "square-free", "01x")
         assert code == 2
 
+    @pytest.mark.parametrize("word", ["0\u00b21", "\u0660\u0661\u0662"])
+    def test_non_ascii_digits_are_malformed(self, capsys, word):
+        code, out, err = run(capsys, "check", "square-free", word)
+        assert (code, out, err) == (2, "", f"error: malformed word {word!r}\n")
+
     def test_word_too_large_for_graph(self, capsys):
         code, _, err = run(capsys, "check", "g-word", "05", "--graph", "p4")
         assert code == 2

@@ -75,10 +75,13 @@ class TestIsGWord:
                          if not g.has_edge(a, b)), None)
 
         rng = random.Random(6)
-        for _ in range(400):
-            n = rng.randrange(1, 7)
-            pairs = list(itertools.combinations(range(n), 2))
-            g = Graph(n, [e for e in pairs if rng.random() < 0.6])
+        # 1-6 and 15-16 vertices take the pair-code path, 17 and 300 the tuple pairs
+        for n in [rng.randrange(1, 7) for _ in range(400)] + [15, 16, 17, 300] * 50:
+            if n < 20:
+                pairs = list(itertools.combinations(range(n), 2))
+                g = Graph(n, [e for e in pairs if rng.random() < 0.6])
+            else:
+                g = Graph(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)})
             letters = [rng.randrange(n)]
             for _ in range(rng.randrange(40)):
                 # mostly walk the graph (both directions of each edge), sometimes
@@ -93,14 +96,17 @@ class TestIsGWord:
             word = Word(tuple(letters), n)
             assert find_non_edge(g, word) == naive(g, word.letters), (g, letters)
         # a long walk whose only non-edge is its first pair, its last pair, or a repeated letter
-        p5, walk = path_graph(5), p5_walk_stream().prefix(10_000).letters
-        last = (walk[-1] + 2) % 5
-        for letters, hit in [((4,) + walk, (0, (4, walk[0]))),
-                             (walk + (last,), (9999, (walk[-1], last))),
-                             (walk[:5000] + walk[4999:], (4999, (walk[4999], walk[4999])))]:
-            word = Word(letters, 5)
-            assert find_non_edge(p5, word) == naive(p5, letters) == hit
-        assert find_non_edge(p5, Word(walk, 5)) is None
+        for g, walk in [(path_graph(5), p5_walk_stream().prefix(10_000).letters),
+                        (cycle_graph(16), cycle_walk_stream(16).prefix(10_000).letters),
+                        (cycle_graph(17), cycle_walk_stream(17).prefix(10_000).letters)]:
+            n = g.vertex_count
+            first, last = (walk[0] + 2) % n, (walk[-1] + 2) % n
+            for letters, hit in [((first,) + walk, (0, (first, walk[0]))),
+                                 (walk + (last,), (9999, (walk[-1], last))),
+                                 (walk[:5000] + walk[4999:], (4999, (walk[4999], walk[4999])))]:
+                word = Word(letters, n)
+                assert find_non_edge(g, word) == naive(g, letters) == hit
+            assert find_non_edge(g, Word(walk, n)) is None
         assert find_non_edge(path_graph(3), w("0121", 3)) is None
         assert find_non_edge(path_graph(3), w("0110", 3)) == (1, (1, 1))
         assert find_non_edge(path_graph(3), w("2102", 3)) == (2, (0, 2))

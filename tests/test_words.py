@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from sqwalk import words
 from sqwalk.graphs import claw_graph
-from sqwalk.walks import (c4_walk_uniform_stream, claw_walk_stream, p5_walk_stream,
-                          thue_stream, tournament5_stream)
+from sqwalk.walks import (c4_walk_uniform_stream, claw_walk_stream, dean_reduced_stream,
+                          p5_walk_stream, thue_stream, tournament5_stream)
 from sqwalk.words import (Word, brute_force_square_check, extends_square_free,
-                          find_square, has_factor, is_reduced_free_group_word,
-                          is_square_free, is_tournament_word)
+                          find_reduction_violation, find_square, find_tournament_conflict,
+                          has_factor, is_reduced_free_group_word, is_square_free,
+                          is_tournament_word)
 
 THUE_27 = "012021012102012021020121012"
 
@@ -57,6 +58,63 @@ class TestWordType:
             Word.from_text("01a2")
         with pytest.raises(ValueError):
             Word.from_text("0,x")
+
+    @pytest.mark.parametrize("text", ["0\u00b21", "\u0660\u0661\u0662", "0\t1", "01\x002", "0\ud8001"])
+    def test_digit_format_takes_ascii_digits_only(self, text):
+        # a superscript two, Arabic-Indic digits, and control characters
+        # (tab and NUL are letters 9 and 0 as bytes) are not digits
+        with pytest.raises(ValueError) as exc:
+            Word.from_text(text)
+        assert str(exc.value) == f"malformed word {text!r}"
+
+    def test_million_letter_round_trip(self):
+        word = thue_stream().prefix(1_000_000)
+        text = word.text()
+        assert text == "".join(map(str, word.letters))
+        assert Word.from_text(text) == word
+        assert Word.from_text(text, 5) == Word(word.letters, 5)
+        assert Word.from_text("0" * 1000) == Word((0,) * 1000, 1)
+
+
+class TestWordValidation:
+    """A tuple of letters below 256 is checked by deleting the alphabet's
+    bytes; any other tuple, and a list, by the letter-by-letter loop, which
+    names the first bad letter.  Both give the same verdicts and messages."""
+
+    @pytest.mark.parametrize("letter,size,message", [
+        (-1, 3, "letter -1 outside alphabet of size 3"),
+        (3, 3, "letter 3 outside alphabet of size 3"),
+        (255, 3, "letter 255 outside alphabet of size 3"),
+        (255, 255, "letter 255 outside alphabet of size 255"),
+        (256, 256, "letter 256 outside alphabet of size 256"),
+        (256, 3, "letter 256 outside alphabet of size 3"),
+        (2**40, 3, "letter 1099511627776 outside alphabet of size 3"),
+        (3.5, 3, "letter 3.5 outside alphabet of size 3"),
+        (True, 1, "letter True outside alphabet of size 1"),
+        (255, 256, None),
+        (256, 257, None),
+        (2**40, 2**40 + 1, None),
+        (1.5, 3, None),
+        (True, 2, None),
+        (0, 3.0, None),
+    ])
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_verdict_and_message(self, letter, size, message, container):
+        for letters in ([letter], [0, letter, 0], [0] * 300 + [letter]):
+            if message is None:
+                assert Word(container(letters), size).letters == container(letters)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Word(container(letters), size)
+                assert str(exc.value) == message
+
+    def test_first_bad_letter_is_named(self):
+        with pytest.raises(ValueError, match="^letter 7 outside"):
+            Word((0, 7, 300, -1), 3)
+        with pytest.raises(ValueError, match="^letter 300 outside"):
+            Word((0, 300, 7, -1), 3)
+        with pytest.raises(ValueError, match="^letter -1 outside"):
+            Word((0, -1, 7, 300), 3)
 
 
 class TestIsSquareFree:
@@ -463,6 +521,86 @@ class TestHasFactor:
                 fs = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
             naive = any(ws[i:i + len(fs)] == fs for i in range(len(ws) - len(fs) + 1))
             assert has_factor(Word(ws, size), Word(fs, size)) == naive, (ws, fs)
+
+
+def naive_tournament_conflict(letters):
+    """Reference: the first pair that reverses an earlier one."""
+    seen = set()
+    for p, (a, b) in enumerate(zip(letters, letters[1:])):
+        if a != b and (b, a) in seen:
+            return (p, (a, b))
+        seen.add((a, b))
+    return None
+
+
+def naive_reduction_violation(letters):
+    """Reference: the first pair of a generator and its inverse, which
+    differ by 2 mod 4."""
+    return next(((p, (a, b)) for p, (a, b) in enumerate(zip(letters, letters[1:]))
+                 if (a - b) % 4 == 2), None)
+
+
+def rotational_tournament_walk(n, length, rng):
+    """A random walk on a tournament over n letters, so a tournament word.
+
+    a -> b iff b - a is 1 to (n - 1) // 2 mod n, so every letter has a
+    successor; then the letters are shuffled."""
+    name = list(range(n))
+    rng.shuffle(name)
+    v, out = 0, []
+    for _ in range(length):
+        out.append(name[v])
+        v = (v + rng.randint(1, (n - 1) // 2)) % n
+    return tuple(out)
+
+
+class TestPairPredicatesAgainstReference:
+    """Alphabets of at most 16 letters code each letter pair as one byte; wider
+    ones keep tuple pairs.  Both must give the reference's (position, pair)."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_every_short_word(self, k):
+        for n in range(8):
+            for letters in itertools.product(range(k), repeat=n):
+                word = Word(letters, k)
+                hit = naive_tournament_conflict(letters)
+                assert find_tournament_conflict(word) == find_tournament_conflict(letters) == hit
+                if k == 4:
+                    assert find_reduction_violation(word) == naive_reduction_violation(letters)
+
+    def test_planted_conflicts_in_long_prefixes(self):
+        t5 = tournament5_stream().prefix(100_000).letters
+        dean = dean_reduced_stream().prefix(100_000).letters
+        n = len(t5)
+        assert find_tournament_conflict(Word(t5, 5)) is naive_tournament_conflict(t5) is None
+        assert find_reduction_violation(Word(dean, 4)) is naive_reduction_violation(dean) is None
+        for p in (1, n // 2, n - 2):
+            # the pair at p reverses the pair at p - 1
+            letters = t5[:p + 1] + (t5[p - 1],) + t5[p + 2:]
+            hit = (p, (t5[p], t5[p - 1]))
+            assert find_tournament_conflict(Word(letters, 5)) == naive_tournament_conflict(letters) == hit
+        for p in (0, n // 2, n - 2):
+            bad = (dean[p] + 2) % 4
+            letters = dean[:p + 1] + (bad,) + dean[p + 2:]
+            hit = (p, (dean[p], bad))
+            assert find_reduction_violation(Word(letters, 4)) == naive_reduction_violation(letters) == hit
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_wide_tournaments(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            walk = rotational_tournament_walk(n, rng.randrange(2, 3000), rng)
+            assert find_tournament_conflict(Word(walk, n)) is None
+            for _ in range(5):
+                letters = list(walk)
+                for _ in range(rng.randint(1, 3)):  # change one to three letters
+                    letters[rng.randrange(len(letters))] = rng.randrange(n)
+                letters = tuple(letters)
+                assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters)
+            p = rng.randrange(1, len(walk) - 1)
+            letters = walk[:p + 1] + (walk[p - 1],) + walk[p + 2:]
+            assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters) \
+                == (p, (walk[p], walk[p - 1]))
 
 
 class TestTournamentWords:
