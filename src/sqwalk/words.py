@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Iterable, Optional
 
 
@@ -76,10 +75,7 @@ class Word:
     def text(self) -> str:
         """Render: digit string for alphabets up to 10, comma-separated beyond."""
         if self.alphabet_size <= 10:
-            try:
-                return bytes(self.letters).translate(_DIGITS).decode()
-            except TypeError:  # a letter that is not an int
-                return "".join(str(a) for a in self.letters)
+            return bytes(self.letters).translate(_DIGITS).decode()
         return ",".join(str(a) for a in self.letters)
 
     def append(self, letter: int) -> "Word":
@@ -379,16 +375,11 @@ def _pair_codes(w) -> Optional[bytes]:
     Every letter is below 16, so shifting the packed word left by four bits
     puts each letter in the high half of its byte and adding the word one
     letter on fills the low halves: no byte carries.  None also when w is
-    not a Word (its alphabet is unknown), or its alphabet size or a letter
-    is not an int.
+    not a Word, so its alphabet is unknown.
     """
-    if not (isinstance(w, Word) and isinstance(w.alphabet_size, int)
-            and w.alphabet_size <= _PAIR_ALPHABET):
+    if not (isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET):
         return None
-    try:
-        s = bytes(w.letters)
-    except TypeError:
-        return None
+    s = bytes(w.letters)
     if len(s) < 2:
         return b""
     return ((int.from_bytes(s[:-1], "big") << 4)
@@ -447,19 +438,14 @@ def is_tournament_word(w: Word) -> bool:
 
 # Free group on two generators: letters 0, 1 are the generators and
 # letters 2, 3 their respective inverses.
-_REDUCTION_PAIRS = ((0, 2), (2, 0), (1, 3), (3, 1))
-_REDUCTION_TABLE = _pair_table(_REDUCTION_PAIRS, 1)
+_REDUCTION_TABLE = _pair_table(((0, 2), (2, 0), (1, 3), (3, 1)), 1)
 
 
 def find_reduction_violation(w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     """First adjacent generator/inverse pair in w, or None if reduced."""
     if w.alphabet_size != 4:
         raise ValueError("reduced-word check requires alphabet_size 4")
-    codes = _pair_codes(w)
-    if codes is None:  # an alphabet size or letters that are not ints
-        return next(((p, pair) for p, pair in enumerate(pairwise(w.letters))
-                     if pair in _REDUCTION_PAIRS), None)
-    return _first_pair(w, codes, _REDUCTION_TABLE)
+    return _first_pair(w, _pair_codes(w), _REDUCTION_TABLE)
 
 
 def is_reduced_free_group_word(w: Word) -> bool:

@@ -75,6 +75,10 @@ class TestWordType:
         assert Word.from_text(text, 5) == Word(word.letters, 5)
         assert Word.from_text("0" * 1000) == Word((0,) * 1000, 1)
 
+    def test_bool_letters_render_as_digits(self):
+        assert Word((True, False, True), 2).text() == "101"
+        assert str(Word((False, True), 10)) == "01"
+
 
 class TestWordValidation:
     """A tuple of letters below 256 is checked by deleting the alphabet's
