@@ -4,7 +4,6 @@ and the lazy witness-walk generators for every positive case."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Iterator, Optional
 
 # find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
@@ -12,25 +11,15 @@ from .graphs import (Graph, components, find_c4, find_claw,  # noqa: F401
                      find_p5, find_triangle, induced_subgraph)
 from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, InfiniteWordStream,
                         Morphism, fixed_point_stream, image_stream)
-from .words import Word, _first_pair, _pair_codes, _pair_table
+from .words import Word, _first_pairs, _least_pair
 
 
 def find_non_edge(g: Graph, w: Word) -> Optional[tuple[int, tuple[int, int]]]:
-    """First adjacent letter pair of w that is not an edge of g, or None.
-
-    Over at most 16 letters each pair is one byte (words._pair_codes), and a
-    256-byte table marks the codes that are not arcs of g.
-    """
+    """First adjacent letter pair of w that is not an edge of g, or None."""
     if w.alphabet_size != g.vertex_count:
         raise ValueError(
             f"word alphabet size {w.alphabet_size} != vertex count {g.vertex_count}")
-    arcs = g.edges | {(j, i) for i, j in g.edges}
-    codes = _pair_codes(w)
-    if codes is not None:
-        return _first_pair(w, codes, _pair_table(arcs, 0))
-    if arcs.issuperset(pairwise(w.letters)):
-        return None
-    return next((p, pair) for p, pair in enumerate(pairwise(w.letters)) if pair not in arcs)
+    return _least_pair(w, (p for (a, b), p in _first_pairs(w).items() if not g.has_edge(a, b)))
 
 
 def is_g_word(g: Graph, w: Word) -> bool:

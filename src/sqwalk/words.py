@@ -364,71 +364,48 @@ def has_factor(w: Word, f: Word) -> bool:
     return False
 
 
-# Alphabets of at most _PAIR_ALPHABET letters code each adjacent letter pair
-# as one byte (_pair_codes); wider ones keep tuple pairs.
+# Alphabets of at most _PAIR_ALPHABET letters code each 2-factor as one byte.
 _PAIR_ALPHABET = 16
 
 
-def _pair_codes(w) -> Optional[bytes]:
-    """Byte i is 16 * w[i] + w[i + 1], or None for a wider alphabet.
+def _first_pairs(w) -> dict[tuple[int, int], int]:
+    """Each 2-factor (a, b) of w, mapped to the position of its first occurrence.
 
-    Every letter is below 16, so shifting the packed word left by four bits
-    puts each letter in the high half of its byte and adding the word one
-    letter on fills the low halves: no byte carries.  None also when w is
-    not a Word, so its alphabet is unknown.
+    Over at most 16 letters byte i of codes is 16 * w[i] + w[i + 1]: shifting
+    the packed word left by four bits puts each letter in the high half of its
+    byte and adding the word one letter on fills the low halves, with no
+    carry since every letter is below 16.  codes.find then gives each pair's
+    first position.  Wider alphabets, and sequences that are not Words (so
+    their alphabet is unknown), insert the pairs last to first, so each pair
+    keeps its earliest position.
     """
-    if not (isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET):
-        return None
-    s = bytes(w.letters)
-    if len(s) < 2:
-        return b""
-    return ((int.from_bytes(s[:-1], "big") << 4)
-            + int.from_bytes(s[1:], "big")).to_bytes(len(s) - 1, "big")
+    letters = _word_args(w)
+    if isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET:
+        s = bytes(letters)
+        codes = ((int.from_bytes(s[:-1], "big") << 4)
+                 + int.from_bytes(s[1:], "big")).to_bytes(max(len(s) - 1, 0), "big")
+        n = w.alphabet_size
+        return {(a, b): p for a in range(n) for b in range(n)
+                if (p := codes.find(16 * a + b)) >= 0}
+    return dict(zip(zip(letters[-2::-1], letters[:0:-1]), range(len(letters) - 2, -1, -1)))
 
 
-def _pair_table(pairs, hit: int) -> bytes:
-    """The 256-byte translation table of pair codes that maps the code of
-    each pair (a, b) in pairs to hit, and every other code to 1 - hit."""
-    table = bytearray([1 - hit]) * 256
-    for a, b in pairs:
-        table[16 * a + b] = hit
-    return bytes(table)
-
-
-def _first_pair(w, codes: bytes, table) -> Optional[tuple[int, tuple[int, int]]]:
-    """(p, (w[p], w[p + 1])) for the first pair code that table maps to 1."""
-    p = codes.translate(table).find(1)
-    return None if p < 0 else (p, (w.letters[p], w.letters[p + 1]))
+def _least_pair(w, positions) -> Optional[tuple[int, tuple[int, int]]]:
+    """(p, (w[p], w[p + 1])) for the least p in positions, or None if there is none."""
+    p = min(positions, default=None)
+    return None if p is None else (p, (w[p], w[p + 1]))
 
 
 def find_tournament_conflict(w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     """First position p where the pair w[p]w[p+1] reverses an earlier factor.
 
-    Returns (p, (w[p], w[p+1])) or None if w is a tournament word.  Over at
-    most 16 letters: the pairs ab and ba first conflict at the later of their
-    first occurrences, and the least of those over all pairs {a, b} is the
-    first conflict.
+    Returns (p, (w[p], w[p+1])) or None if w is a tournament word.  The pairs
+    ab and ba first conflict at the later of their first occurrences, and the
+    least of those over all pairs {a, b} is the first conflict.
     """
-    codes = _pair_codes(w)
-    if codes is not None:
-        best = len(codes)
-        n = w.alphabet_size
-        for a in range(n):
-            for b in range(a + 1, n):
-                p = codes.find(16 * a + b, 0, best)
-                if p >= 0:
-                    q = codes.find(16 * b + a, 0, best)
-                    if q >= 0:
-                        best = max(p, q)
-        return (best, (w.letters[best], w.letters[best + 1])) if best < len(codes) else None
-    letters = _word_args(w)
-    seen: set[tuple[int, int]] = set()
-    for p in range(len(letters) - 1):
-        a, b = letters[p], letters[p + 1]
-        if a != b and (b, a) in seen:
-            return (p, (a, b))
-        seen.add((a, b))
-    return None
+    first = _first_pairs(w)
+    return _least_pair(w, (max(p, first[b, a]) for (a, b), p in first.items()
+                           if a < b and (b, a) in first))
 
 
 def is_tournament_word(w: Word) -> bool:
@@ -438,14 +415,15 @@ def is_tournament_word(w: Word) -> bool:
 
 # Free group on two generators: letters 0, 1 are the generators and
 # letters 2, 3 their respective inverses.
-_REDUCTION_TABLE = _pair_table(((0, 2), (2, 0), (1, 3), (3, 1)), 1)
+_REDUCTION_PAIRS = ((0, 2), (2, 0), (1, 3), (3, 1))
 
 
 def find_reduction_violation(w: Word) -> Optional[tuple[int, tuple[int, int]]]:
     """First adjacent generator/inverse pair in w, or None if reduced."""
     if w.alphabet_size != 4:
         raise ValueError("reduced-word check requires alphabet_size 4")
-    return _first_pair(w, _pair_codes(w), _REDUCTION_TABLE)
+    first = _first_pairs(w)
+    return _least_pair(w, (first[pair] for pair in _REDUCTION_PAIRS if pair in first))
 
 
 def is_reduced_free_group_word(w: Word) -> bool:

@@ -16,6 +16,7 @@ from sqwalk.search import (SearchResult, _canonical_colourings,
                            verify_gamma_lower_bound)
 from sqwalk.walks import is_g_word
 from sqwalk.words import Word, brute_force_square_check, is_tournament_word
+from test_words import naive_suffix_square_free
 
 P4_WITNESSES = {"012101232101210", "321232101232123"}
 TOURNAMENT_20 = "01201320120320132032"
@@ -320,12 +321,6 @@ class TestCanonicalKey:
         colour = list(range(n))
         key = _canonical_key(adjacency, colour, list(range(n)))
         assert brute_force_form(*decode(key)) == brute_force_form(adjacency, colour)
-
-
-def naive_suffix_square_free(letters):
-    """No square ends at the last letter: a slice compare for every half-length."""
-    n = len(letters)
-    return all(letters[n - L:] != letters[n - 2 * L:n - L] for L in range(1, n // 2 + 1))
 
 
 def reference_search(n, cap, allowed, colour, tournament=False):

@@ -94,7 +94,12 @@ class TestIsGWord:
                 else:
                     letters.append(rng.choice(nbrs))
             word = Word(tuple(letters), n)
-            assert find_non_edge(g, word) == naive(g, word.letters), (g, letters)
+            hit = naive(g, word.letters)
+            assert find_non_edge(g, word) == hit, (g, letters)
+            if hit is not None:
+                # the first non-edge occurs again later: its first position still counts
+                word = Word(word.letters + hit[1], n)
+                assert find_non_edge(g, word) == naive(g, word.letters) == hit, (g, letters)
         # a long walk whose only non-edge is its first pair, its last pair, or a repeated letter
         for g, walk in [(path_graph(5), p5_walk_stream().prefix(10_000).letters),
                         (cycle_graph(16), cycle_walk_stream(16).prefix(10_000).letters),
@@ -107,6 +112,9 @@ class TestIsGWord:
                 word = Word(letters, n)
                 assert find_non_edge(g, word) == naive(g, letters) == hit
             assert find_non_edge(g, Word(walk, n)) is None
+        for n in (4, 16, 17):  # empty and one-letter words on both sides of 16 letters
+            for letters in [(), (n - 1,)]:
+                assert find_non_edge(cycle_graph(n), Word(letters, n)) is None
         assert find_non_edge(path_graph(3), w("0121", 3)) is None
         assert find_non_edge(path_graph(3), w("0110", 3)) == (1, (1, 1))
         assert find_non_edge(path_graph(3), w("2102", 3)) == (2, (0, 2))

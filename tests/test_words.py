@@ -560,11 +560,14 @@ def rotational_tournament_walk(n, length, rng):
 
 class TestPairPredicatesAgainstReference:
     """Alphabets of at most 16 letters code each letter pair as one byte; wider
-    ones keep tuple pairs.  Both must give the reference's (position, pair)."""
+    ones map tuple pairs to their first positions.  Both must give the
+    reference's (position, pair)."""
 
-    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("k", [4, 5, 16, 17])
     def test_every_short_word(self, k):
-        for n in range(8):
+        # every word up to 7 letters over A4 and A5; the empty and one-letter
+        # words on both sides of the 16-letter pair-code alphabet
+        for n in range(8 if k < 16 else 2):
             for letters in itertools.product(range(k), repeat=n):
                 word = Word(letters, k)
                 hit = naive_tournament_conflict(letters)
@@ -589,7 +592,7 @@ class TestPairPredicatesAgainstReference:
             hit = (p, (dean[p], bad))
             assert find_reduction_violation(Word(letters, 4)) == naive_reduction_violation(letters) == hit
 
-    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("n", [16, 17, 300])
     def test_wide_tournaments(self, n):
         rng = random.Random(n)
         for _ in range(40):
@@ -603,8 +606,11 @@ class TestPairPredicatesAgainstReference:
                 assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters)
             p = rng.randrange(1, len(walk) - 1)
             letters = walk[:p + 1] + (walk[p - 1],) + walk[p + 2:]
-            assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters) \
-                == (p, (walk[p], walk[p - 1]))
+            hit = (p, (walk[p], walk[p - 1]))
+            assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters) == hit
+            # both pairs of the conflict occur again later: the first one still counts
+            letters += hit[1] + hit[1][::-1]
+            assert find_tournament_conflict(Word(letters, n)) == naive_tournament_conflict(letters) == hit
 
 
 class TestTournamentWords:
