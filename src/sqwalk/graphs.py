@@ -35,9 +35,6 @@ class Graph:
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.vertex_count == other.vertex_count

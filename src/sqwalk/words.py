@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -25,10 +26,13 @@ class Word:
             raise ValueError("alphabet_size must be positive")
         if type(self.letters) is tuple:  # bytes() of an int or a buffer would not list letters
             # Every letter in the alphabet iff deleting the alphabet's bytes
-            # leaves nothing.  The loop below decides every other case and
-            # names the first bad letter.
+            # leaves nothing; those bytes are then the word's packed form.
+            # The loop below decides every other case and names the first
+            # bad letter.
             try:
-                if not bytes(self.letters).translate(None, _BYTES[:self.alphabet_size]):
+                packed = bytes(self.letters)
+                if not packed.translate(None, _BYTES[:self.alphabet_size]):
+                    self.__dict__["_packed"] = 1, packed
                     return
             except (TypeError, ValueError):  # a letter past 255, negative or not an int
                 pass
@@ -72,10 +76,15 @@ class Word:
             raise ValueError(f"negative letter in {text!r}")
         return cls.from_letters(ls, alphabet_size)
 
+    @cached_property
+    def _packed(self) -> tuple[int, bytes]:
+        """(width, bytes): the letters as _pack packs them, packed once per word."""
+        return _pack(self.letters)
+
     def text(self) -> str:
         """Render: digit string for alphabets up to 10, comma-separated beyond."""
         if self.alphabet_size <= 10:
-            return bytes(self.letters).translate(_DIGITS).decode()
+            return self._packed[1].translate(_DIGITS).decode()
         return ",".join(str(a) for a in self.letters)
 
     def append(self, letter: int) -> "Word":
@@ -137,12 +146,12 @@ def find_square(w: Word) -> Optional[tuple[int, int]]:
     block levels (_least_block_half) name the least longer half-length in
     near-linear time, and one more scan at that L finds the leftmost start.
     """
-    letters = _word_args(w)
-    width, packed = _pack(letters)
+    # a raw tuple or list is packed here: wrapping it in a Word costs more
+    width, packed = w._packed if isinstance(w, Word) else _pack(w)
     x = int.from_bytes(packed, "big")
     size = len(packed)
     levels_from = 2 * _B0
-    for L in range(1, len(letters) // 2 + 1):
+    for L in range(1, size // width // 2 + 1):
         if L == levels_from:
             # No square is shorter.  The block levels confirm a square at the
             # least longer half-length, so the scan below returns it.
@@ -379,14 +388,14 @@ def _first_pairs(w) -> dict[tuple[int, int], int]:
     their alphabet is unknown), insert the pairs last to first, so each pair
     keeps its earliest position.
     """
-    letters = _word_args(w)
     if isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET:
-        s = bytes(letters)
+        s = w._packed[1]
         codes = ((int.from_bytes(s[:-1], "big") << 4)
                  + int.from_bytes(s[1:], "big")).to_bytes(max(len(s) - 1, 0), "big")
         n = w.alphabet_size
         return {(a, b): p for a in range(n) for b in range(n)
                 if (p := codes.find(16 * a + b)) >= 0}
+    letters = _word_args(w)
     return dict(zip(zip(letters[-2::-1], letters[:0:-1]), range(len(letters) - 2, -1, -1)))
 
 

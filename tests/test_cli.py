@@ -305,9 +305,10 @@ class TestMorphism:
         assert out == "10210\n"
 
     def test_crochemore(self, capsys):
-        code, out, _ = run(capsys, "morphism", "crochemore", "alpha-c4")
-        assert code == 0
-        assert out == "pass\n"
+        for name in ("alpha-c4", "alpha-t5"):  # A4 -> A4 and A3 -> A5
+            code, out, _ = run(capsys, "morphism", "crochemore", name)
+            assert code == 0
+            assert out == "pass\n"
 
     def test_crochemore_one_letter_fails(self, capsys, tmp_path):
         path = tmp_path / "double.morphism"

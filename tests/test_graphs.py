@@ -107,9 +107,9 @@ class TestConstructors:
         assert claw_graph().edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
     def test_max_degree(self):
-        assert max(map(claw_graph().degree, range(4))) == 3
-        assert max(map(cycle_graph(5).degree, range(5))) == 2
-        assert max(map(Graph(4, []).degree, range(4))) == 0
+        assert max(map(len, claw_graph().adjacency)) == 3
+        assert max(map(len, cycle_graph(5).adjacency)) == 2
+        assert max(map(len, Graph(4, []).adjacency)) == 0
 
 
 # each detector decides containment of its pattern: found iff contained

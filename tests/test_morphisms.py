@@ -15,6 +15,8 @@ from sqwalk.words import Word, brute_force_square_check, has_factor, is_square_f
 
 THUE_27 = "012021012102012021020121012"
 ALPHA_010_SQUARE = "2120102120210120"
+# the claw walk's morphism: letter a to (leaf a + 1, hub 0), from A3 into A4
+CLAW = Morphism(3, 4, ((1, 0), (2, 0), (3, 0)))
 
 
 # prefix lengths around the block size, for the block streams against their references
@@ -240,9 +242,10 @@ class TestCrochemore:
         with pytest.raises(ValueError):
             crochemore_uniform_test(TAU)
 
-    def test_distinct_alphabets_are_an_error(self):
-        with pytest.raises(ValueError):
-            crochemore_uniform_test(ALPHA_T5)
+    def test_distinct_alphabets(self):
+        # Crochemore's length-3 criterion holds for uniform A* -> B*
+        assert crochemore_uniform_test(ALPHA_T5) is True
+        assert crochemore_uniform_test(CLAW) is True
 
     def test_one_letter_alphabet(self):
         # over one letter the only nonempty square-free word is 0
@@ -256,10 +259,15 @@ class TestCrochemore:
             m = Morphism(n, n, tuple(tuple(rng.randrange(n) for _ in range(k))
                                      for _ in range(n)))
             assert crochemore_uniform_test(m) == (preservation_test(m, 3) is None), m
+        for _ in range(1500):  # distinct source and target alphabets
+            n, t, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+            m = Morphism(n, t, tuple(tuple(rng.randrange(t) for _ in range(k))
+                                     for _ in range(n)))
+            assert crochemore_uniform_test(m) == (preservation_test(m, 3) is None), m
 
     def test_consistency_with_bounded_preservation(self):
         # a positive certificate must agree with a short preservation sweep
-        for m in (ALPHA_C4, Morphism.identity(3)):
+        for m in (ALPHA_C4, Morphism.identity(3), ALPHA_T5, CLAW):
             assert crochemore_uniform_test(m) is True
             assert preservation_test(m, 8) is None
 

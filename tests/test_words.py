@@ -71,12 +71,14 @@ class TestWordType:
         word = thue_stream().prefix(1_000_000)
         text = word.text()
         assert text == "".join(map(str, word.letters))
+        assert Word(list(word.letters), 3).text() == text
         assert Word.from_text(text) == word
         assert Word.from_text(text, 5) == Word(word.letters, 5)
         assert Word.from_text("0" * 1000) == Word((0,) * 1000, 1)
 
     def test_bool_letters_render_as_digits(self):
         assert Word((True, False, True), 2).text() == "101"
+        assert Word([True, False, True], 2).text() == "101"
         assert str(Word((False, True), 10)) == "01"
 
 
@@ -169,7 +171,10 @@ class TestFindSquareAgainstReference:
                     p = rng.randrange(len(letters))
                     h = rng.randrange(1, len(letters) - p + 1)
                     letters = letters[:p + h] + letters[p:p + h] + letters[p + h:]
-                assert find_square(Word(letters, k)) == naive_find_square(letters), letters
+                expected = naive_find_square(letters)
+                # a tuple Word is packed as it is validated, a list Word on first use
+                assert find_square(Word(letters, k)) == expected, letters
+                assert find_square(Word(list(letters), k)) == expected, letters
 
     @pytest.mark.parametrize("top", [300, 70_000])
     def test_multi_byte_letters(self, top):
@@ -177,7 +182,9 @@ class TestFindSquareAgainstReference:
         for _ in range(1500):
             alphabet = [rng.randrange(top) for _ in range(rng.randrange(2, 5))] + [top - 1]
             letters = tuple(rng.choice(alphabet) for _ in range(rng.randrange(60)))
-            assert find_square(Word.from_letters(letters, top)) == naive_find_square(letters), letters
+            expected = naive_find_square(letters)
+            assert find_square(Word.from_letters(letters, top)) == expected, letters
+            assert find_square(Word(list(letters), top)) == expected, letters
 
     @pytest.mark.parametrize("text,expected", [
         ("1,257,256", None),  # at half 1, a zero byte pair straddles letters 1 and 2
@@ -226,6 +233,7 @@ class TestFindSquareBlockLevels:
     def test_planted_squares(self, planted):
         for letters, expected in planted:
             assert find_square(Word.from_letters(letters)) == expected, expected
+            assert find_square(Word(list(letters), 5)) == expected, expected
         # the planted square is the least one in nearly every word, so the
         # block levels (half 64 and up) decide most of them
         assert sum(half >= 64 for _, (_, half) in planted) >= 48
@@ -569,11 +577,13 @@ class TestPairPredicatesAgainstReference:
         # words on both sides of the 16-letter pair-code alphabet
         for n in range(8 if k < 16 else 2):
             for letters in itertools.product(range(k), repeat=n):
-                word = Word(letters, k)
+                word, listed = Word(letters, k), Word(list(letters), k)
                 hit = naive_tournament_conflict(letters)
-                assert find_tournament_conflict(word) == find_tournament_conflict(letters) == hit
+                assert (find_tournament_conflict(word) == find_tournament_conflict(listed)
+                        == find_tournament_conflict(letters) == hit)
                 if k == 4:
-                    assert find_reduction_violation(word) == naive_reduction_violation(letters)
+                    assert (find_reduction_violation(word) == find_reduction_violation(listed)
+                            == naive_reduction_violation(letters))
 
     def test_planted_conflicts_in_long_prefixes(self):
         t5 = tournament5_stream().prefix(100_000).letters
@@ -581,16 +591,20 @@ class TestPairPredicatesAgainstReference:
         n = len(t5)
         assert find_tournament_conflict(Word(t5, 5)) is naive_tournament_conflict(t5) is None
         assert find_reduction_violation(Word(dean, 4)) is naive_reduction_violation(dean) is None
+        assert find_tournament_conflict(Word(list(t5), 5)) is None
+        assert find_reduction_violation(Word(list(dean), 4)) is None
         for p in (1, n // 2, n - 2):
             # the pair at p reverses the pair at p - 1
             letters = t5[:p + 1] + (t5[p - 1],) + t5[p + 2:]
             hit = (p, (t5[p], t5[p - 1]))
-            assert find_tournament_conflict(Word(letters, 5)) == naive_tournament_conflict(letters) == hit
+            assert (find_tournament_conflict(Word(letters, 5)) == find_tournament_conflict(Word(list(letters), 5))
+                    == naive_tournament_conflict(letters) == hit)
         for p in (0, n // 2, n - 2):
             bad = (dean[p] + 2) % 4
             letters = dean[:p + 1] + (bad,) + dean[p + 2:]
             hit = (p, (dean[p], bad))
-            assert find_reduction_violation(Word(letters, 4)) == naive_reduction_violation(letters) == hit
+            assert (find_reduction_violation(Word(letters, 4)) == find_reduction_violation(Word(list(letters), 4))
+                    == naive_reduction_violation(letters) == hit)
 
     @pytest.mark.parametrize("n", [16, 17, 300])
     def test_wide_tournaments(self, n):
