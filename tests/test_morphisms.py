@@ -180,6 +180,17 @@ class TestBlockStreamsMatchReference:
             assert (image_stream(m2, fixed_point_stream(m, seed)).prefix(n).letters
                     == take(reference_image(m2, reference_fixed_point(m, seed)), n)), (m, m2, n)
 
+    @pytest.mark.parametrize("images,seed", [
+        (((0, 1), (1,)), 0),                   # 0111...: 1 -> 1 grows nothing
+        (((1,), (1, 0, 2), (2,)), 1),          # 0 -> 1 and 2 -> 2 shrink or keep
+        (((0, 1), (1,), (0,)), 0)])
+    def test_letters_that_map_to_themselves(self, images, seed):
+        # the power of m that the stream expands by is reached, however
+        # slowly the seed's image grows
+        m = Morphism(len(images), len(images), images)
+        assert all(fixed_point_stream(m, seed).prefix(n).letters
+                   == take(reference_fixed_point(m, seed), n) for n in LENGTHS)
+
     def test_interleaved_prefixes(self):
         for make, ref in [
                 (lambda: fixed_point_stream(TAU, 0), lambda: reference_fixed_point(TAU, 0)),
@@ -210,21 +221,21 @@ class TestBlockStreamsMatchReference:
 
 class TestBlockBounds:
     """A stream produces about one block of _BLOCK letters beyond what was asked
-    (len(stream._buf) counts every letter produced so far)."""
+    (stream._length counts every letter produced so far)."""
 
     def test_image_of_a_long_source_reads_a_short_block(self):
         thue = fixed_point_stream(TAU, 0)
         thue.prefix(100_000)
         stream = image_stream(BETA_P5, thue)
         stream.prefix(10)
-        assert len(stream._buf) <= _BLOCK
+        assert stream._length <= _BLOCK
 
     def test_fixed_point_expands_at_most_a_block(self):
         stream = fixed_point_stream(TAU, 0)
         stream.prefix(100_000)
-        have = len(stream._buf)
+        have = stream._length
         stream.prefix(have + 1)
-        assert len(stream._buf) - have <= 3 * _BLOCK  # TAU's longest image is 3
+        assert stream._length - have <= 3 * _BLOCK  # TAU's longest image is 3
 
 
 class TestCrochemore:

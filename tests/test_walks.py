@@ -511,6 +511,21 @@ class TestBlockStreamsMatchReference:
             assert (claw_walk_stream(g, hub).prefix(20_000).letters
                     == take(reference_claw(g, hub), 20_000)), hub
 
+    def test_claw_hub_and_leaves_past_255(self):
+        g = Graph(400, [(300, 399), (300, 256), (300, 310), (300, 7), (256, 1), (256, 258)])
+        for hub in (300, 256):
+            prefix = claw_walk_stream(g, hub).prefix(20_000)
+            assert prefix.letters == take(reference_claw(g, hub), 20_000), hub
+            assert is_square_free(prefix) and is_g_word(g, prefix), hub
+
+    def test_cycle_walks_257_and_300(self):
+        # letters past 255 take two bytes each in a packed word, one code point in a block
+        level = take(reference_thue(), 20_000)
+        for n in range(4, 301):
+            level = take(reference_cycle_level(n, level), 20_000)
+            if n in (257, 300):
+                assert cycle_walk_stream(n).prefix(20_000).letters == level, n
+
     def test_cycle_walks_3_to_60(self):
         expected = cycle_references(60, 20_000)
         for n in range(3, 61):
@@ -525,10 +540,10 @@ class TestBlockStreamsMatchReference:
         for n in range(4, 31):
             ends, prev, seen = {0, n - 2}, None, 0
             for block in cycle_walk_stream(n - 1).blocks():
-                if prev is not None and {prev, block[0]} == ends:
+                if prev is not None and {prev, ord(block[0])} == ends:
                     straddled.append(n)
                     break
-                prev, seen = block[-1], seen + len(block)
+                prev, seen = ord(block[-1]), seen + len(block)
                 if seen >= 20_000:
                     break
         assert straddled
@@ -536,9 +551,23 @@ class TestBlockStreamsMatchReference:
             assert cycle_walk_stream(n).prefix(20_000).letters == expected[n], n
 
 
+@pytest.mark.parametrize("name,make", [
+    *((name, make) for name, (make, _) in sorted(BUILTIN_STREAMS.items())),
+    ("cycle300", lambda: cycle_walk_stream(300)),
+    ("phi-p5", lambda: image_stream(PHI_P5, p5_walk_stream()))])
+def test_prefix_is_the_word_built_from_its_letters(name, make):
+    stream = make()
+    for n in (0, 1, 5000):
+        prefix = stream.prefix(n)
+        word = Word(prefix.letters, stream.alphabet_size)
+        assert type(prefix.letters) is tuple and all(type(a) is int for a in prefix.letters)
+        assert prefix == word and hash(prefix) == hash(word) and repr(prefix) == repr(word)
+        assert prefix.text() == word.text() and prefix._packed == word._packed
+
+
 class TestBlockSizes:
     """A stream produces about one block of _BLOCK letters at a time
-    (len(stream._buf) counts every letter produced so far), so a short
+    (stream._length counts every letter produced so far), so a short
     `sqwalk generate` stays cheap."""
 
     STREAMS = [p5_walk_stream, lambda: claw_walk_stream(claw_graph(), 0),
@@ -549,13 +578,13 @@ class TestBlockSizes:
     def test_prefix_10(self, make):
         stream = make()
         stream.prefix(10)
-        assert len(stream._buf) <= _BLOCK
+        assert stream._length <= _BLOCK
 
     @pytest.mark.parametrize("make,bound", zip(STREAMS, [_BLOCK, _BLOCK, 2 * _BLOCK]), ids=IDS)
     def test_every_block(self, make, bound):
         # a cycle level inserts at most one letter per letter it reads
         stream = make()
-        while len(stream._buf) < 200_000:
-            have = len(stream._buf)
+        while stream._length < 200_000:
+            have = stream._length
             stream.prefix(have + 1)
-            assert len(stream._buf) - have <= bound, have
+            assert stream._length - have <= bound, have

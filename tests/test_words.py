@@ -114,6 +114,23 @@ class TestWordValidation:
                     Word(container(letters), size)
                 assert str(exc.value) == message
 
+    @pytest.mark.parametrize("packed,size", [
+        (b"\x00\x02\x01", 3), (b"", 1), (bytes(range(256)), 256), (bytes(range(256)), 300),
+        (b"\x00\x07\xff\x03", 3), (b"", 0), (b"\x01", 0)])
+    def test_from_bytes_is_the_constructor(self, packed, size):
+        # the same word, packed form and error message as Word(tuple(packed), size)
+        try:
+            expected = Word(tuple(packed), size)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Word.from_bytes(packed, size)
+            assert str(got.value) == str(exc)
+            return
+        word = Word.from_bytes(packed, size)
+        assert word == expected and hash(word) == hash(expected)
+        assert repr(word) == repr(expected)
+        assert word._packed == expected._packed == (1, packed)
+
     def test_first_bad_letter_is_named(self):
         with pytest.raises(ValueError, match="^letter 7 outside"):
             Word((0, 7, 300, -1), 3)
@@ -408,6 +425,24 @@ class TestExtendsSquareFree:
             a = rng.randrange(4)
             assert extends_square_free(word, a) == brute_force_square_check(word.append(a))
 
+    def test_letter_wider_than_the_word(self):
+        # 300 takes two bytes; these words pack at one
+        word = thue_stream().prefix(1000)
+        assert word._packed[0] == 1
+        assert extends_square_free(word, 300)
+        assert extends_square_free(w("0"), 256)
+        # and narrow letters after wide words
+        assert not extends_square_free(Word((0, 300, 0), 301), 300)   # (0 300)^2
+        assert extends_square_free(Word((0, 300, 0), 301), 1)
+        assert not extends_square_free(Word((1, 300), 301), 300)      # 300 300
+
+    @given(st.lists(st.sampled_from((0, 1, 255, 256, 300)), max_size=12),
+           st.sampled_from((0, 1, 255, 256, 300, 65536)))
+    def test_matches_the_oracle_across_widths(self, letters, a):
+        word = Word(tuple(letters), 65537)
+        if is_square_free(word):
+            assert extends_square_free(word, a) == is_square_free(word.append(a))
+
     @given(st.lists(st.integers(0, 2), max_size=25), st.integers(0, 2))
     def test_monotonicity(self, letters, a):
         word = Word(tuple(letters), 3)
@@ -518,6 +553,18 @@ class TestHasFactor:
         # 1 0 packs to 00 01 00 00, which holds 256 = 01 00 one byte in
         assert not has_factor(Word((1, 0), 257), Word((256,), 257))
         assert has_factor(Word((1, 256, 0), 257), Word((256,), 257))
+
+    def test_wide_factor_in_a_narrow_word(self):
+        # the word packs at one byte per letter, the factors at two or three
+        word = thue_stream().prefix(1000)
+        assert word._packed[0] == 1
+        assert not has_factor(word, Word((0, 300), 301))
+        assert not has_factor(word, (256,))
+        assert not has_factor(w("0120"), (65536, 0))
+        # and narrow factors in wide words
+        assert has_factor(Word((300, 0, 1), 301), w("01"))
+        assert not has_factor(Word((300, 1, 0), 301), w("01"))
+        assert has_factor(Word((300, 0, 1), 301), (300, 0))
 
     @pytest.mark.parametrize("pool", [(0, 1, 2), (0, 1, 256, 257), (1, 256, 65536, 65537, 257)])
     def test_matches_naive_search(self, pool):
