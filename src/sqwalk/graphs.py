@@ -2,32 +2,49 @@
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Optional
+
+# Graph and parse_graph refuse more vertices than this before allocating one
+# neighbour list per vertex: ten times the largest graph the tests and CI
+# classify (a 1e5-vertex path).
+MAX_VERTICES = 10**6
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..vertex_count-1."""
+    """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    __slots__ = ("vertex_count", "edges", "adjacency")
+    It stores the sorted neighbour tuples only; ``edges`` is derived from them.
+    Two graphs are equal when their vertex counts and neighbour tuples are,
+    which is when their edge sets are."""
+
+    __slots__ = ("vertex_count", "adjacency", "_edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be >= 0")
-        norm = set()
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
-                raise ValueError(f"edge {i} {j} outside vertex range 0..{vertex_count - 1}")
-            norm.add((min(i, j), max(i, j)))
+        us, vs = tuple(zip(*edges)) or ((), ())
         self.vertex_count = vertex_count
-        self.edges = frozenset(norm)
-        adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for i, j in norm:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.adjacency = tuple(tuple(sorted(ns)) for ns in adj)
+        self.adjacency = _adjacency(vertex_count, us, vs)
+        self._edges = None
+
+    @classmethod
+    def _from_columns(cls, vertex_count: int, us, vs) -> Graph:
+        """The graph with edges (us[k], vs[k]), as Graph(vertex_count, zip(us, vs))."""
+        g = cls.__new__(cls)
+        g.vertex_count = vertex_count
+        g.adjacency = _adjacency(vertex_count, us, vs)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (i, j) pairs with i < j, built from adjacency on first read."""
+        if self._edges is None:
+            self._edges = frozenset((i, j) for i, ns in enumerate(self.adjacency)
+                                    for j in ns if i < j)
+        return self._edges
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -38,13 +55,60 @@ class Graph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+                and self.adjacency == other.adjacency)
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.adjacency))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
+
+
+def _adjacency(n: int, us, vs) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of the graph on 0..n-1 with edges (us[k], vs[k]).
+
+    Self-loops and vertices out of range are found in bulk; only then are the
+    edges walked in order, so that the first faulty one is named.  Most edge
+    lists have no duplicate edge, so one set of keys over all edges decides
+    whether the neighbour lists need merging at all."""
+    if n < 0:
+        raise ValueError("vertex_count must be >= 0")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    ends = us + vs
+    if us and (any(map(operator.eq, us, vs)) or min(ends) < 0 or max(ends) >= n):
+        for i, j in zip(us, vs):
+            if i == j:
+                raise ValueError(f"self-loop at vertex {i}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge {i} {j} outside vertex range 0..{n - 1}")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(us, vs):
+        adj[i].append(j)
+        adj[j].append(i)
+    # {i, j} is the only pair with sum i + j and product i * j < n * n
+    keys = map(operator.add, map(operator.mul, map(operator.add, us, vs), repeat(n * n)),
+               map(operator.mul, us, vs))
+    if len(set(keys)) < len(us):  # a duplicate edge
+        return tuple(map(tuple, map(sorted, map(set, adj))))
+    for ns in adj:
+        ns.sort()
+    return tuple(map(tuple, adj))
+
+
+# Edge-list lines end at the characters str.splitlines breaks at.  The
+# patterns below read "\r\n" as two breaks around a blank line, which changes
+# nothing.  _SPACE is the whitespace within a line: with _EOL it makes up the
+# whitespace str.split breaks at.  The patterns are strings, compiled on first
+# use and cached by re, since compiling their non-ASCII classes takes about
+# 1 ms each.
+_EOL = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACE = rf"[^\S{_EOL}]"
+# blank and comment lines, then the first other line (the header)
+_HEADER = rf"(?:{_SPACE}*(?:#[^{_EOL}]*)?[{_EOL}])*([^{_EOL}]*)"
+_COMMENT = rf"[{_EOL}]{_SPACE}*#[^{_EOL}]*"
+# the line break before a line that is neither blank nor two tokens
+_BAD_LINE = rf"[{_EOL}](?!{_SPACE}*(?:\S+{_SPACE}+\S+{_SPACE}*)?(?:[{_EOL}]|\Z))"
 
 
 def parse_graph(text: str) -> Graph:
@@ -53,26 +117,43 @@ def parse_graph(text: str) -> Graph:
     Blank lines and lines starting with # are skipped; duplicate edges are
     merged.  Malformed lines, out-of-range vertices and self-loops are
     distinct errors.
+
+    The body after the header is read in bulk: comment lines are cut out
+    with one substitution (only when a # occurs), one search finds any line
+    that is not two tokens, and one ``int`` per token gives the edge
+    columns.  Only a failed check walks the lines, to name the first
+    malformed one.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n="):
+    head = re.match(_HEADER, text)
+    header = head.group(1).strip()
+    if not header.startswith("n="):
         raise ValueError('graph text must start with an "n=<vertex_count>" line')
     try:
-        n = int(lines[0][2:])
+        n = int(header[2:])
     except ValueError:
-        raise ValueError(f"malformed vertex count line {lines[0]!r}") from None
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
+        raise ValueError(f"malformed vertex count line {header!r}") from None
+    body = text[head.end():]  # starts with the header's line break
+    if "#" in body:
+        body = re.sub(_COMMENT, "\n", body)
+    if re.search(_BAD_LINE, body) is None:
         try:
-            i, j = int(parts[0]), int(parts[1])
+            nums = list(map(int, body.split()))
         except ValueError:
-            raise ValueError(f"malformed edge line {ln!r}") from None
-        edges.append((i, j))
-    return Graph(n, edges)
+            pass
+        else:
+            return Graph._from_columns(n, nums[0::2], nums[1::2])
+    raise _malformed_line(body)
+
+
+def _malformed_line(body: str) -> ValueError:
+    """The error naming the first line of body that is neither blank nor two ints."""
+    for ln in map(str.strip, body.splitlines()):
+        if ln:
+            try:
+                _, _ = map(int, ln.split())
+            except ValueError:
+                return ValueError(f"malformed edge line {ln!r}")
+    raise AssertionError("parse_graph found a malformed line that this walk does not")
 
 
 def render_graph(g: Graph) -> str:
@@ -168,33 +249,32 @@ def components(g: Graph) -> list[Component]:
     A connected component on n vertices with m edges is "other" when some
     degree exceeds 2; with every degree at most 2 it is path(n) when it is a
     tree (m = n - 1) and cycle(n) otherwise."""
-    adj = g.adjacency
-    seen = [False] * g.vertex_count
-    out = []
-    for s in range(g.vertex_count):
+    return [Component(verts, shape) for verts, shape, _ in _component_parts(g.adjacency)]
+
+
+def _component_parts(adj) -> Iterator[tuple[tuple[int, ...], str, int]]:
+    """(sorted vertices, shape, edge count) of each component, by least vertex."""
+    seen = [False] * len(adj)
+    for s in range(len(adj)):
         if seen[s]:
             continue
-        stack = [s]
         seen[s] = True
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
+        verts = [s]
+        for v in verts:  # breadth first: verts grows while it is read
             for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
-                    stack.append(u)
+                    verts.append(u)
         verts.sort()
-        degrees = [len(adj[v]) for v in verts]
-        n = len(verts)
+        degrees = list(map(len, map(adj.__getitem__, verts)))
+        n, m = len(verts), sum(degrees) // 2
         if max(degrees) > 2:
             shape = "other"
-        elif sum(degrees) // 2 == n - 1:
+        elif m == n - 1:
             shape = f"path({n})"
         else:
             shape = f"cycle({n})"
-        out.append(Component(tuple(verts), shape))
-    return out
+        yield tuple(verts), shape, m
 
 
 def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-# find_* and induced_subgraph are unused here but stay bound: perfbench/tracing.py rebinds them.
-from .graphs import (Graph, components, find_c4, find_claw,  # noqa: F401
-                     find_p5, find_triangle, induced_subgraph)
+# components, find_* and induced_subgraph are unused here but stay bound:
+# perfbench/tracing.py rebinds them.
+from .graphs import (Graph, _component_parts, components, find_c4,  # noqa: F401
+                     find_claw, find_p5, find_triangle, induced_subgraph)
 from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, InfiniteWordStream,
                         Morphism, fixed_point_stream, image_stream)
 from .words import Word, _first_pairs, _least_pair
@@ -109,11 +110,10 @@ def _cycle_p5(adj, verts: tuple[int, ...]) -> tuple[int, ...]:
     return (out,) + tuple(cycle[i:] + cycle[:i])
 
 
-def _classify_connected(adj, verts: tuple[int, ...]) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
+def _classify_connected(adj, verts: tuple[int, ...], shape: str, m: int) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
     n = len(verts)
-    m = sum(len(adj[v]) for v in verts) // 2
     if m >= n:
-        tri = _triangle(adj, verts)
+        tri = _triangle(adj, verts) if shape == "other" or n == 3 else None
         if tri is not None:
             return True, 3, "C3", tri
         if (n, m) == (4, 4):
@@ -130,8 +130,8 @@ def _classify_connected(adj, verts: tuple[int, ...]) -> tuple[bool, Optional[int
         path = _tree_path(parent, order[-1])
         if len(path) >= 5:
             return True, 3, "P5", tuple(path[:5])
-    hub = next((v for v in verts if len(adj[v]) >= 3), None)
-    if hub is not None:
+    if shape == "other":  # some vertex has degree at least 3
+        hub = next(v for v in verts if len(adj[v]) >= 3)
         return True, 4, "K13", (hub,) + adj[hub][:3]
     return False, None, None, None
 
@@ -148,7 +148,8 @@ def classify(g: Graph) -> Classification:
     Each component with n vertices and m edges is decided in O(n + m) time
     (O(m sqrt m) for the triangle scan when it has cycles), case by case:
 
-    - a triangle (degree-ordered listing) gives C3;
+    - a triangle (degree-ordered listing) gives C3; the scan is skipped on
+      a cycle component C_n with n > 3, which has none;
     - else, with a cycle, it is either exactly C4 (n = m = 4), or it has a
       P5 taken from the fundamental cycle of a BFS non-tree edge;
     - else it is a tree, which has a P5 iff its diameter (two BFS passes) is
@@ -161,9 +162,9 @@ def classify(g: Graph) -> Classification:
     """
     adj = g.adjacency
     comp_reports = []
-    for comp in components(g):
+    for verts, shape, m in _component_parts(adj):
         comp_reports.append(ComponentClassification(
-            comp.vertices, comp.shape, *_classify_connected(adj, comp.vertices)))
+            verts, shape, *_classify_connected(adj, verts, shape, m)))
     # min keeps the first component of least gamma
     best = min((c for c in comp_reports if c.exists), key=lambda c: c.gamma, default=None)
     if best is None:

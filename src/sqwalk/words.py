@@ -398,22 +398,36 @@ _PAIR_ALPHABET = 16
 def _first_pairs(w) -> dict[tuple[int, int], int]:
     """Each 2-factor (a, b) of w, mapped to the position of its first occurrence.
 
-    Over at most 16 letters byte i of codes is 16 * w[i] + w[i + 1]: shifting
-    the packed word left by four bits puts each letter in the high half of its
-    byte and adding the word one letter on fills the low halves, with no
-    carry since every letter is below 16.  codes.find then gives each pair's
-    first position.  Wider alphabets, and sequences that are not Words (so
-    their alphabet is unknown), insert the pairs last to first, so each pair
-    keeps its earliest position.
+    A Word over n <= 16 letters that is longer than n * n letters takes
+    _pairs_by_code, n * n C-level finds over its pair codes.  Shorter words,
+    where those finds cost more than the word has letters, wider alphabets
+    and sequences that are not Words (so their alphabet is unknown) take
+    _pairs_by_scan.
     """
     if isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET:
-        s = w._packed[1]
-        codes = ((int.from_bytes(s[:-1], "big") << 4)
-                 + int.from_bytes(s[1:], "big")).to_bytes(max(len(s) - 1, 0), "big")
-        n = w.alphabet_size
-        return {(a, b): p for a in range(n) for b in range(n)
-                if (p := codes.find(16 * a + b)) >= 0}
-    letters = _word_args(w)
+        packed = w._packed[1]  # raises TypeError on a letter that is not an int
+        if len(packed) > w.alphabet_size ** 2:
+            return _pairs_by_code(packed, w.alphabet_size)
+    return _pairs_by_scan(_word_args(w))
+
+
+def _pairs_by_code(packed: bytes, n: int) -> dict[tuple[int, int], int]:
+    """_first_pairs of the packed word over n <= 16 letters.
+
+    Byte i of codes is 16 * w[i] + w[i + 1]: shifting the packed word left by
+    four bits puts each letter in the high half of its byte and adding the
+    word one letter on fills the low halves, with no carry since every letter
+    is below 16.  codes.find then gives each pair's first position.
+    """
+    codes = ((int.from_bytes(packed[:-1], "big") << 4)
+             + int.from_bytes(packed[1:], "big")).to_bytes(max(len(packed) - 1, 0), "big")
+    return {(a, b): p for a in range(n) for b in range(n)
+            if (p := codes.find(16 * a + b)) >= 0}
+
+
+def _pairs_by_scan(letters) -> dict[tuple[int, int], int]:
+    """_first_pairs of a letter sequence: the pairs go in last to first, so
+    each keeps its earliest position."""
     return dict(zip(zip(letters[-2::-1], letters[:0:-1]), range(len(letters) - 2, -1, -1)))
 
 

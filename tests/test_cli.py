@@ -193,6 +193,19 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--graph", "no_such_file.g")
         assert code == 2
 
+    def test_vertex_count_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "huge.g"
+        path.write_text("n=1000000000000\n0 1\n")
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vertex count 1000000000000 exceeds the limit")
+
+    def test_crlf_tabs_and_comments_read_as_plain_lines(self, capsys, tmp_path):
+        plain, dressed = tmp_path / "plain.g", tmp_path / "dressed.g"
+        plain.write_text("n=6\n0 1\n1 2\n2 3\n3 4\n")
+        dressed.write_bytes(b"# a path\r\nn=6\r\n0\t1\r\n\r\n1 2\r\n# more\r\n2 3\r\n 3  4 \r\n")
+        assert run(capsys, "classify", "--graph", str(dressed)) == run(capsys, "classify", "--graph", str(plain))
+
 
 class TestSearch:
     def test_walk_p4(self, capsys):

@@ -4,11 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
-                           find_c4, find_claw, find_p5, find_triangle,
-                           induced_subgraph, parse_graph, path_graph,
-                           render_graph)
+from sqwalk.graphs import (MAX_VERTICES, Graph, claw_graph, components,
+                           cycle_graph, find_c4, find_claw, find_p5,
+                           find_triangle, induced_subgraph, parse_graph,
+                           path_graph, render_graph)
 
 # fixed patterns for the injection oracle
 _PATTERNS = {
@@ -91,6 +93,133 @@ class TestParsing:
     def test_render_round_trip(self):
         g = cycle_graph(5)
         assert parse_graph(render_graph(g)) == g
+
+
+class TestVertexCap:
+    def test_huge_vertex_count_refused_before_allocating(self):
+        # a neighbour set per vertex would need terabytes; only the refusal runs
+        with pytest.raises(ValueError, match=f"vertex count 1000000000000 exceeds the limit of {MAX_VERTICES}"):
+            parse_graph("n=1000000000000\n0 1\n")
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Graph(MAX_VERTICES + 1, [])
+
+    def test_cap_is_ten_times_the_largest_tested_graph(self):
+        assert MAX_VERTICES >= 10 * 100_000
+
+
+# The line-by-line parser and the per-edge constructor that the bulk build
+# replaced: the reference that parse_graph and Graph must match, graph and
+# error message alike.
+def reference_graph(n, edges):
+    """(edges, adjacency) of Graph(n, edges), or its ValueError."""
+    if n < 0:
+        raise ValueError("vertex_count must be >= 0")
+    norm = set()
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge {i} {j} outside vertex range 0..{n - 1}")
+        norm.add((min(i, j), max(i, j)))
+    adj = [[] for _ in range(n)]
+    for i, j in norm:
+        adj[i].append(j)
+        adj[j].append(i)
+    return frozenset(norm), tuple(tuple(sorted(ns)) for ns in adj)
+
+
+def reference_parse(text):
+    """(edges, adjacency) of parse_graph(text), or its ValueError."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError('graph text must start with an "n=<vertex_count>" line')
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"malformed vertex count line {lines[0]!r}") from None
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line {ln!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"malformed edge line {ln!r}") from None
+        edges.append((i, j))
+    return reference_graph(n, edges)
+
+
+def outcome(build, *args):
+    """(edges, adjacency) of what build returns, or the message it raises."""
+    try:
+        g = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return g if isinstance(g, tuple) else (g.edges, g.adjacency)
+
+
+# every line break str.splitlines knows, and whitespace inside a line,
+# Unicode included
+_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_PADS = ("", " ", "\t", "  \t", "\x1f", "\xa0", "\u3000")
+_TOKENS = st.one_of(st.integers(-1, 7).map(str),
+                    st.sampled_from(["+1", "02", "1_0", "\u0663", " 4", "x", "1.0", "#1", "--1", "0x1"]))
+_EDGE_LINE = st.tuples(st.sampled_from(_PADS), _TOKENS, st.sampled_from(_PADS[1:]), _TOKENS,
+                       st.sampled_from(_PADS)).map("".join)
+_BLANK_OR_COMMENT = st.one_of(st.sampled_from(_PADS),
+                              st.tuples(st.sampled_from(_PADS), st.text("01 #x\t", max_size=4))
+                              .map(lambda p: p[0] + "#" + p[1]))
+_ODD_LINE = st.one_of(st.lists(_TOKENS, min_size=1, max_size=3).map(" ".join),
+                      _EDGE_LINE.map(lambda ln: ln + " # trailing"))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Header, edge lines with duplicates, self-loops and out-of-range ends,
+    blank and comment lines anywhere, odd lines and mixed line breaks."""
+    n = draw(st.integers(-1, 7))
+    header = draw(st.sampled_from([f"n={n}", f"  n={n}\t", f"n= {n}", f"n=+{n}", "n=x", "n=", "0 1"]))
+    lines = draw(st.lists(_BLANK_OR_COMMENT, max_size=2)) + [header]
+    lines += draw(st.lists(st.one_of(_EDGE_LINE, _EDGE_LINE, _EDGE_LINE, _BLANK_OR_COMMENT, _ODD_LINE),
+                           max_size=12))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(ln + br for ln, br in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[:-len(breaks[-1])]
+
+
+class TestBulkBuildMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_list_texts())
+    def test_parse_graph(self, text):
+        assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0123 \t\r\n#x+_-\x1c\x85\u2028\u0663", max_size=40))
+    def test_parse_graph_any_text_after_a_header(self, body):
+        text = "n=4\n" + body
+        assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-1, 8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=15))
+    def test_graph(self, n, edges):
+        assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
+        assert outcome(Graph, n, iter(edges)) == outcome(reference_graph, n, edges)
+
+    def test_first_fault_is_named(self):
+        # several faults in one text: the first line or edge in order is named
+        text = "n=3\n0 1\n1 1\n0 5\n2 x\n"
+        assert outcome(parse_graph, text) == outcome(reference_parse, text) == "malformed edge line '2 x'"
+        text = "n=3\n0 1\n0 5\n1 1\n"
+        assert outcome(parse_graph, text) == "edge 0 5 outside vertex range 0..2"
+        assert outcome(Graph, 3, [(0, 1), (2, 2), (-1, 0)]) == "self-loop at vertex 2"
+
+    def test_edges_are_derived_once(self):
+        g = parse_graph("n=4\r\n# ring\r\n0 1\r\n1\t2\r\n2 3\r\n3 0\r\n1 0\r\n")
+        assert g == cycle_graph(4) and hash(g) == hash(cycle_graph(4))
+        assert g.edges is g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+        assert repr(g) == "Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])"
 
 
 class TestConstructors:

@@ -653,6 +653,23 @@ class TestPairPredicatesAgainstReference:
             assert (find_reduction_violation(Word(letters, 4)) == find_reduction_violation(Word(list(letters), 4))
                     == naive_reduction_violation(letters) == hit)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 16])
+    def test_both_pair_maps_agree_around_the_cut_over(self, k):
+        # _first_pairs codes a word longer than k * k letters and scans a
+        # shorter one; both constructions must give the same map either side
+        rng = random.Random(k)
+        for length in (0, 1, 2, k * k - 1, k * k, k * k + 1, k * k + 2, 3 * k * k):
+            for _ in range(30):
+                used = rng.sample(range(k), rng.randint(1, k))  # some pairs never occur
+                letters = tuple(rng.choice(used) for _ in range(length))
+                word = Word(letters, k)
+                by_code = words._pairs_by_code(word._packed[1], k)
+                assert by_code == words._pairs_by_scan(letters) == words._first_pairs(word)
+        # a letter that is not an int is a TypeError on both sides
+        for length in (2, k * k + 2):
+            with pytest.raises(TypeError):
+                find_tournament_conflict(Word((1.0,) + (0,) * (length - 1), max(k, 2)))
+
     @pytest.mark.parametrize("n", [16, 17, 300])
     def test_wide_tournaments(self, n):
         rng = random.Random(n)
