@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
-# Graph and parse_graph refuse more vertices than this before allocating one
-# neighbour list per vertex: ten times the largest graph the tests and CI
-# classify (a 1e5-vertex path).
+# parse_graph refuses more vertices than this before allocating one neighbour
+# list per vertex: ten times the largest graph the tests and CI classify (a
+# 1e5-vertex path).  Graph(n, edges) itself builds any size.
 MAX_VERTICES = 10**6
 
 
@@ -24,7 +24,11 @@ class Graph:
     __slots__ = ("vertex_count", "adjacency", "_edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        us, vs = tuple(zip(*edges)) or ((), ())
+        edges = tuple(edges)
+        try:
+            us, vs = zip(*edges, strict=True) if edges else ((), ())
+        except ValueError:
+            raise ValueError("every edge must be a pair of vertices") from None
         self.vertex_count = vertex_count
         self.adjacency = _adjacency(vertex_count, us, vs)
         self._edges = None
@@ -68,13 +72,12 @@ def _adjacency(n: int, us, vs) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples of the graph on 0..n-1 with edges (us[k], vs[k]).
 
     Self-loops and vertices out of range are found in bulk; only then are the
-    edges walked in order, so that the first faulty one is named.  Most edge
-    lists have no duplicate edge, so one set of keys over all edges decides
-    whether the neighbour lists need merging at all."""
+    edges walked in order, so that the first faulty one is named.  One set of
+    keys over all edges tells whether any edge is repeated; only then are the
+    neighbour lists merged through sets.  No graph that the classify, search
+    or cli benchmark builds repeats an edge."""
     if n < 0:
         raise ValueError("vertex_count must be >= 0")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     ends = us + vs
     if us and (any(map(operator.eq, us, vs)) or min(ends) < 0 or max(ends) >= n):
         for i, j in zip(us, vs):
@@ -116,7 +119,8 @@ def parse_graph(text: str) -> Graph:
 
     Blank lines and lines starting with # are skipped; duplicate edges are
     merged.  Malformed lines, out-of-range vertices and self-loops are
-    distinct errors.
+    distinct errors, and a vertex count above MAX_VERTICES is refused
+    after the line checks, before any neighbour list is allocated.
 
     The body after the header is read in bulk: comment lines are cut out
     with one substitution (only when a # occurs), one search finds any line
@@ -141,6 +145,8 @@ def parse_graph(text: str) -> Graph:
         except ValueError:
             pass
         else:
+            if n > MAX_VERTICES:
+                raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             return Graph._from_columns(n, nums[0::2], nums[1::2])
     raise _malformed_line(body)
 

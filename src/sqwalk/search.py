@@ -193,7 +193,8 @@ def _quotient(adjacency, colours):
     colour = [0] * count
     for v in range(n):
         colour[new[v]] = colours[v]
-    edges = {(new[v], new[w]) for v in range(n) for w in nbrs[v] if v < w}
+    # each class edge once, from its lower class: the build merges no repeats
+    edges = {(new[v], new[w]) for v in range(n) for w in nbrs[v] if new[v] < new[w]}
     return Graph(count, edges), colour
 
 

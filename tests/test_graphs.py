@@ -97,14 +97,13 @@ class TestParsing:
 
 class TestVertexCap:
     def test_huge_vertex_count_refused_before_allocating(self):
-        # a neighbour set per vertex would need terabytes; only the refusal runs
+        # a neighbour list per vertex would need terabytes; only the refusal runs
         with pytest.raises(ValueError, match=f"vertex count 1000000000000 exceeds the limit of {MAX_VERTICES}"):
             parse_graph("n=1000000000000\n0 1\n")
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            Graph(MAX_VERTICES + 1, [])
 
-    def test_cap_is_ten_times_the_largest_tested_graph(self):
-        assert MAX_VERTICES >= 10 * 100_000
+    def test_line_checks_come_first(self):
+        assert outcome(parse_graph, "n=1000000000000\n0 1\n0 x\n") == "malformed edge line '0 x'"
+        assert outcome(parse_graph, f"n={MAX_VERTICES + 1}\n0 0\n").startswith("vertex count")
 
 
 # The line-by-line parser and the per-edge constructor that the bulk build
@@ -206,6 +205,26 @@ class TestBulkBuildMatchesReference:
     def test_graph(self, n, edges):
         assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
         assert outcome(Graph, n, iter(edges)) == outcome(reference_graph, n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-1, 4), st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple), min_size=1, max_size=5))
+    def test_graph_refuses_an_edge_without_two_ends(self, n, edges):
+        # the reference unpacks each edge; any edge that is not a pair raises
+        if all(len(e) == 2 for e in edges):
+            assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
+        else:
+            with pytest.raises(ValueError):
+                reference_graph(n, edges)
+            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
+                Graph(n, edges)
+            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
+                Graph(n, iter(edges))
+
+    def test_mixed_edge_lengths_are_refused(self):
+        for edges in ([(0, 1), (1, 2, 0)], [(0, 1, 2), (1, 2)], [(0,), (1, 2)], [()], [(0, 1, 2)]):
+            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
+                Graph(3, edges)
+        assert Graph(3, []) == Graph(3, iter([])) == Graph(3, ())
 
     def test_first_fault_is_named(self):
         # several faults in one text: the first line or edge in order is named
