@@ -206,24 +206,14 @@ class TestBulkBuildMatchesReference:
         assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
         assert outcome(Graph, n, iter(edges)) == outcome(reference_graph, n, edges)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-1, 4), st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple), min_size=1, max_size=5))
-    def test_graph_refuses_an_edge_without_two_ends(self, n, edges):
-        # the reference unpacks each edge; any edge that is not a pair raises
-        if all(len(e) == 2 for e in edges):
-            assert outcome(Graph, n, edges) == outcome(reference_graph, n, edges)
-        else:
-            with pytest.raises(ValueError):
-                reference_graph(n, edges)
-            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
-                Graph(n, edges)
-            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
-                Graph(n, iter(edges))
-
-    def test_mixed_edge_lengths_are_refused(self):
+    def test_an_edge_that_is_not_a_pair_is_refused(self):
+        # the reference unpacks each edge, so it raises too
         for edges in ([(0, 1), (1, 2, 0)], [(0, 1, 2), (1, 2)], [(0,), (1, 2)], [()], [(0, 1, 2)]):
-            with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
-                Graph(3, edges)
+            with pytest.raises(ValueError):
+                reference_graph(3, edges)
+            for arg in (edges, iter(edges)):
+                with pytest.raises(ValueError, match="every edge must be a pair of vertices"):
+                    Graph(3, arg)
         assert Graph(3, []) == Graph(3, iter([])) == Graph(3, ())
 
     def test_first_fault_is_named(self):
