@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import Word, _square_free_words, is_square_free
+from .words import Word, _backtrack, is_square_free
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,16 @@ def preservation_test(m: Morphism, max_len: int,
     images = m.images
 
     def successors(buf):
-        for a in range(n):
-            word = buf + [a]
-            if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
-                yield a
+        if len(buf) < max_len:
+            for a in range(n):
+                word = buf + [a]
+                if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
+                    yield a
 
-    for buf in _square_free_words(successors([]), successors, range(n), max_len):
-        if not is_square_free(_expand(images, buf)):
-            return Word(tuple(buf), n)
-    return None
+    # successors stops at max_len, so the engine stops only on a square image
+    _, found, stopped = _backtrack(successors([]), successors, range(n), n - 1, max_len + 1,
+                                   lambda buf: not is_square_free(_expand(images, buf)))
+    return Word(found[0], n) if stopped else None
 
 
 def alignment_test(m: Morphism, letters: Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, components
 from .morphisms import Colouring
-from .words import Word, _square_free_words
+from .words import Word, _backtrack
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,13 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def _longest(words, cap: int, alphabet: int) -> SearchResult:
-    """Consume a backtracking enumeration: the longest words, or the cap reached.
-
-    The engine yields distinct words, in lexicographic order among words of
-    one length, so the witnesses need no sorting."""
-    nodes = best = 0
-    witnesses: list[tuple[int, ...]] = []
-    for buf in words:
-        nodes += 1
-        d = len(buf)
-        if d >= cap:
-            return SearchResult("bound_exceeded", cap, (), nodes)
-        if d > best:
-            best = d
-            witnesses = [tuple(buf)]
-        elif d == best:
-            witnesses.append(tuple(buf))
-    found = tuple(Word(w, alphabet) for w in witnesses)
-    return SearchResult("max_length", best, found, nodes)
+def _search(starts, successors, colour, top: int, cap: int, alphabet: int) -> SearchResult:
+    """Run the backtracking engine: the longest words, or the cap reached."""
+    nodes, found, stopped = _backtrack(starts, successors, colour, top, cap)
+    if stopped:
+        return SearchResult("bound_exceeded", cap, (), nodes)
+    witnesses = tuple(Word(w, alphabet) for w in found)
+    return SearchResult("max_length", len(found[0]) if found else 0, witnesses, nodes)
 
 
 def _walks(g: Graph, colour, cap: int) -> SearchResult:
@@ -63,8 +51,8 @@ def _walks(g: Graph, colour, cap: int) -> SearchResult:
         raise ValueError("cap must be >= 1")
     n = g.vertex_count
     adjacency = g.adjacency
-    words = _square_free_words(range(n), lambda buf: adjacency[buf[-1]], colour, cap)
-    return _longest(words, cap, max(n, 1))
+    return _search(range(n), lambda buf: adjacency[buf[-1]], colour,
+                   max(colour, default=0), cap, max(n, 1))
 
 
 def longest_square_free_walk(g: Graph, cap: int) -> SearchResult:
@@ -96,7 +84,7 @@ def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult
                 pairs.discard(new)
 
     letters = range(alphabet_size)
-    return _longest(_square_free_words(letters, successors, letters, cap), cap, alphabet_size)
+    return _search(letters, successors, letters, alphabet_size - 1, cap, alphabet_size)
 
 
 def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:

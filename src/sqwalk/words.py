@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 
@@ -126,7 +127,7 @@ def _letter_width(top: int) -> int:
 
 def _letter_keys(letters, width: int) -> list[bytes]:
     """Each letter as a width-byte big-endian string: the packed format that
-    find_square and _suffix_square_free read."""
+    find_square reads."""
     return [a.to_bytes(width, "big") for a in letters]
 
 
@@ -280,83 +281,89 @@ def brute_force_square_check(w: Word) -> bool:
     return True
 
 
-# Half-lengths up to _TAIL are compared directly by the suffix check; longer
-# ones are found by searching for the last _TAIL letters.  Of 2 to 16, 8 ran
-# the 5-vertex walk sweeps fastest; 12 or 16 ran walks of 2000-3000 letters
-# up to 20% faster.
+# Half-lengths up to _TAIL are found by a re match, longer ones by a search
+# for the newest _TAIL letters.  Of 8, 12, 16 and 24, 8 ran the 5-vertex walk
+# sweeps fastest; 24 ran a 3000-letter walk 1.5 times as fast as 8.
 _TAIL = 8
 
 
-def _suffix_square_free(packed, width: int) -> bool:
-    """True iff no square ends at the last letter of packed.
-
-    packed holds a word at width bytes per letter (big-endian).  When the
-    word minus its last letter is square-free, this decides whether the
-    whole word is: a new square must end at the new letter.  Half-lengths
-    L <= _TAIL are compared directly, each after a one-byte guard (the low
-    byte of the letter L places back against that of the last letter).  A
-    square of a longer half-length L repeats the last _TAIL letters exactly
-    L letters earlier, so the aligned occurrences of that tail whose L lies
-    in (_TAIL, n // 2] are the only candidates; bytes.find lists them and a
-    slice compare confirms each one.
-    """
-    size = len(packed)
-    half = size // width // 2
-    low = packed[-1]
-    for run in range(width, (half if half < _TAIL else _TAIL) * width + 1, width):
-        if packed[-1 - run] == low and packed[size - run:] == packed[size - 2 * run:size - run]:
-            return False
-    if half <= _TAIL:
-        return True
+def _suffix_check(width: int):
+    """check(rev): True iff no square ends at the newest letter of the word
+    that rev holds newest letter first, at width bytes per letter (so, if the
+    rest is square-free, iff the word is).  In rev such a square starts at
+    offset 0: one re match finds any of half-length up to _TAIL (read once,
+    here); a longer one repeats the first _TAIL letters L letters on, so
+    bytes.find lists the aligned copies with L in (_TAIL, n // 2] and
+    startswith confirms each one."""
     tw = _TAIL * width
-    tail = packed[-tw:]
-    hi = size - tw - width  # an occurrence ending here has L = _TAIL + 1
-    q = packed.find(tail, size - tw - half * width, hi)
-    while q != -1:
-        if q % width == 0:
-            run = size - tw - q  # width * L
-            if packed[size - run:] == packed[size - 2 * run:size - run]:
+    w2 = 2 * width
+    short = re.compile(b"((?:.{%d}){1,%d}?)\\1" % (width, _TAIL), re.DOTALL).match
+
+    def check(rev) -> bool:
+        if short(rev):
+            return False
+        hi = len(rev) // w2 * width + tw  # an occurrence ending here has L = n // 2
+        if hi <= 2 * tw:  # no half-length past _TAIL fits
+            return True
+        head = rev[:tw]
+        q = rev.find(head, tw + width, hi)
+        while q != -1:
+            if q % width == 0 and rev.startswith(rev[:q], q):
                 return False
-        q = packed.find(tail, q - q % width + width, hi)  # next letter boundary
-    return True
+            q = rev.find(head, q - q % width + width, hi)  # next letter boundary
+        return True
+
+    return check
 
 
-def _square_free_words(starts, successors, colour, cap: int):
-    """Depth-first, lexicographic backtracking over words with square-free colour words.
+def _backtrack(starts, successors, colour, top: int, cap: int, stop=None):
+    """Depth-first backtracking over words with square-free colour words.
 
-    A word is a start letter followed by letters drawn from successors(buf),
-    and it is kept while its colour word (colour[v] for each letter v) stays
-    square-free.  Yields the live buffer at every node, before its children,
-    and never extends a word past cap letters; the caller must copy a word it
-    keeps.  The next letter of a node's successors is asked for only after
-    the previous child's subtree is finished, so a successors generator may
-    keep state across its yield.  Iterative: depth is bounded by cap only.
-    The colour word is kept packed for _suffix_square_free.
+    A word is a letter of starts followed by letters of successors(buf), buf
+    being the live word; it is a node while its colour word (colour[v] for
+    each letter v, none above top) is square-free.  A node's next successor
+    is asked for only once the previous child's subtree is done, so a
+    successors generator may keep state across its yield.  Returns (nodes,
+    words, stopped): at the first node of cap letters, or the first with
+    stop(buf) true, stopped is True and words holds that node; otherwise
+    words holds the longest nodes in the order met.  Only leaves are copied:
+    a node is left after its deeper descendants, so one left at least as deep
+    as every node left before it is a leaf.  The colour word is packed newest
+    letter first, each colour as it is pushed: no work per alphabet letter.
     """
-    width = _letter_width(max(colour, default=0))
-    keys = _letter_keys(colour, width)
-    last = slice(-width, None)  # the last letter's bytes: one slice object for every pop
-    for s in starts:
-        buf = [s]
-        cols = bytearray(keys[s])
-        yield buf
-        stack = [iter(successors(buf))] if cap > 1 else []
-        while stack:
-            for v in stack[-1]:
-                buf.append(v)
-                cols.extend(keys[v])
-                if _suffix_square_free(cols, width):
-                    yield buf
-                    if len(buf) < cap:
-                        stack.append(iter(successors(buf)))
-                        break
+    width = _letter_width(top)
+    cols = bytearray()
+    if width == 1:  # a colour is its own byte
+        push, drop = partial(cols.insert, 0), partial(cols.pop, 0)
+    else:
+        push = lambda c: cols.__setitem__(slice(0, 0), c.to_bytes(width, "big"))  # noqa: E731
+        drop = partial(cols.__delitem__, slice(0, width))
+    check = _suffix_check(width)
+    nodes = best = 0
+    buf, found = [], []
+    stack = [iter(starts)]
+    while stack:
+        for v in stack[-1]:
+            buf.append(v)
+            push(colour[v])
+            if check(cols):
+                nodes += 1
+                if len(buf) >= cap or stop is not None and stop(buf):
+                    return nodes, [tuple(buf)], True
+                stack.append(iter(successors(buf)))
+                break
+            buf.pop()
+            drop()
+        else:
+            stack.pop()
+            if stack:
+                if len(buf) >= best:
+                    if len(buf) > best:
+                        best, found = len(buf), []
+                    found.append(tuple(buf))
                 buf.pop()
-                del cols[last]
-            else:
-                stack.pop()
-                if stack:
-                    buf.pop()
-                    del cols[last]
+                drop()
+    return nodes, found, False
 
 
 def extends_square_free(w: Word, a: int) -> bool:
@@ -366,7 +373,7 @@ def extends_square_free(w: Word, a: int) -> bool:
     width, packed = w._packed
     if _letter_width(a) > width:
         return True  # a is larger than every letter of w, so no square ends at it
-    return _suffix_square_free(packed + a.to_bytes(width, "big"), width)
+    return _suffix_check(width)((packed + a.to_bytes(width, "big"))[::-1])
 
 
 def has_factor(w: Word, f: Word) -> bool:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -73,12 +74,19 @@ class TestLongestWalk:
             longest_square_free_walk(path_graph(3), 0)
 
     def test_render(self):
-        res = longest_square_free_walk(path_graph(4), 20)
-        lines = res.render().splitlines()
-        assert lines[0] == "outcome=max_length 15"
-        assert lines[1] == "witness=012101232101210"
-        assert lines[2] == "witness=321232101232123"
-        assert lines[3].startswith("nodes=")
+        # cap 16 is the least cap above the maximum: the search runs the same
+        # at any larger cap
+        for cap in (16, 20):
+            res = longest_square_free_walk(path_graph(4), cap)
+            assert res.render().splitlines() == [
+                "outcome=max_length 15", "witness=012101232101210",
+                "witness=321232101232123", "nodes=158"]
+
+    def test_render_at_the_maximum(self):
+        # the search stops at its first walk of cap letters: the 15 prefixes of
+        # the witness 012101232101210 and one dead end, 010
+        res = longest_square_free_walk(path_graph(4), 15)
+        assert res.render().splitlines() == ["outcome=bound_exceeded 15", "nodes=16"]
 
 
 class TestTournamentSearch:
@@ -86,8 +94,10 @@ class TestTournamentSearch:
         res = longest_square_free_tournament(4, 30)
         assert res.outcome == "max_length"
         assert res.length == 20
-        texts = {w.text() for w in res.witnesses}
+        assert res.nodes_explored == 2944
+        texts = [w.text() for w in res.witnesses]
         assert TOURNAMENT_20 in texts
+        assert texts == sorted(texts)  # leaves come out in pre-order, lexicographic here
 
     def test_a4_witness_set_is_the_permutation_orbit(self):
         res = longest_square_free_tournament(4, 30)
@@ -118,6 +128,17 @@ class TestTournamentSearch:
 
     def test_a5_exceeds_bound(self):
         assert longest_square_free_tournament(5, 200).bound_exceeded
+
+    def test_huge_alphabet_costs_nothing_per_letter(self):
+        # five nodes over a million letters: no table or pass over the alphabet
+        tracemalloc.start()
+        try:
+            res = longest_square_free_tournament(10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.outcome, res.length, res.nodes_explored) == ("bound_exceeded", 5, 5)
+        assert peak < 1_000_000
 
 
 class TestMaxColouredWalk:
@@ -379,9 +400,10 @@ class TestMatchesRecursiveReference:
     def test_walks(self):
         for g in small_graphs():
             adj = g.adjacency
-            expected = reference_search(g.vertex_count, 100, lambda v: adj[v],
-                                        range(g.vertex_count))
-            assert longest_square_free_walk(g, 100) == expected
+            for cap in (1, 2, 3, 16, 100):
+                expected = reference_search(g.vertex_count, cap, lambda v: adj[v],
+                                            range(g.vertex_count))
+                assert longest_square_free_walk(g, cap) == expected, (g.edges, cap)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_tournaments(self, k):

@@ -390,7 +390,7 @@ class TestBruteForceOracle:
             raise AssertionError("the oracle called a find_square helper")
         thue = thue_stream().prefix(500)
         for name in ("find_square", "_pack", "_letter_keys", "_least_block_half",
-                     "_suffix_square_free"):
+                     "_suffix_check"):
             monkeypatch.setattr(words, name, banned)
         assert brute_force_square_check(thue)
         assert not brute_force_square_check(Word.from_text("0,300,0,300"))
@@ -457,20 +457,21 @@ def naive_suffix_square_free(letters):
 
 
 def packed_suffix_square_free(letters):
-    width, packed = words._pack(letters)
-    return words._suffix_square_free(bytearray(packed), width)
+    """The engine's check on letters, packed newest letter first as the engine keeps them."""
+    width, packed = words._pack(letters[::-1])
+    return words._suffix_check(width)(bytearray(packed))
 
 
 class TestSuffixSquareCheck:
     """The backtracking engine's packed check, against the slice-per-half
     reference (exact on any word) and, where the word minus its last letter
-    is square-free, the oracle.  Letters take 1, 2 or 3 bytes; the direct
-    half-lengths stop at 1, 2 or the default _TAIL."""
+    is square-free, the oracle.  Letters take 1, 2 or 3 bytes; the half-lengths
+    that the regular expression matches stop at 1, 2 or the default _TAIL."""
 
     STREAMS = TestFindSquareBlockLevels.STREAMS
     # 1-, 2- and 3-byte letters; 2-byte letters whose bytes recur across
     # letter boundaries (tail copies off the boundaries); 2-byte letters that
-    # all share one low byte, so the one-byte guard always passes
+    # all share one low byte, so every other byte matches across letters
     ALPHABETS = (TestFindSquareBlockLevels.ALPHABETS
                  + (tuple(0x0107 + 0x100 * a for a in range(5)),))
 
@@ -486,6 +487,14 @@ class TestSuffixSquareCheck:
         for alphabet in self.ALPHABETS:
             relabelled = tuple(alphabet[a] for a in letters)
             assert packed_suffix_square_free(relabelled) is naive, (alphabet, letters)
+
+    def test_wide_square_of_half_length_two(self, tail):
+        # 2-byte letters ending in the square (260 139)^2: a search for the
+        # last two letters that stops one letter short of their copy misses it
+        word = (212, 277, 267, 274, 260, 139, 260, 139)
+        assert words._pack(word)[0] == 2
+        assert packed_suffix_square_free(word) is False
+        assert packed_suffix_square_free(word[:-1]) is True
 
     def test_all_short_ternary_words(self, tail):
         for n in range(1, 8):
