@@ -31,8 +31,11 @@ _BUILTIN_GRAPHS = {
     "claw": claw_graph,
 }
 
-# search gamma-lower refuses a graph with more colouring classes than this:
-# at about 0.2 ms a class, a sweep this long already takes a few minutes.
+# search gamma-lower refuses a graph with more colouring classes than this.
+# A class takes from about 30 us, where components repeat (the double star
+# S(4,4)), to 2 ms, where most classes have a quotient of their own (a random
+# 11-vertex graph of edge density 0.3), so a sweep this long takes from half
+# a minute to over half an hour.
 MAX_GAMMA_LOWER_CLASSES = 10**6
 
 _STREAMS = "thue, p5, cycle:<n>, c4-uniform, claw, tournament5, dean"

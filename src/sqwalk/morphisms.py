@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import Word, _backtrack, is_square_free
+from .words import Word, _backtrack, _letter_keys, _letter_width, _suffix_check, is_square_free
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,11 @@ def preservation_test(m: Morphism, max_len: int,
     if any(not f for f in forb):
         return None  # the empty factor forbids every word
     n = m.source_alphabet_size
-    images = m.images
+    width = _letter_width(m.target_alphabet_size - 1)
+    # each image packed newest letter first, with the check of the squares
+    # that end in it: the image of a node's prefix is already square-free
+    rev_images = [b"".join(_letter_keys(reversed(img), width)) for img in m.images]
+    checks = [_suffix_check(width, len(img)) for img in m.images]
 
     def successors(buf):
         if len(buf) < max_len:
@@ -317,9 +321,12 @@ def preservation_test(m: Morphism, max_len: int,
                 if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
                     yield a
 
+    def square_image(buf):
+        return not checks[buf[-1]](b"".join(map(rev_images.__getitem__, reversed(buf))))
+
     # successors stops at max_len, so the engine stops only on a square image
     _, found, stopped = _backtrack(successors([]), successors, range(n), n - 1, max_len + 1,
-                                   lambda buf: not is_square_free(_expand(images, buf)))
+                                   square_image)
     return Word(found[0], n) if stopped else None
 
 

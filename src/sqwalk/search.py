@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, components
+from .graphs import Graph
 from .morphisms import Colouring
 from .words import Word, _backtrack
 
@@ -266,31 +266,86 @@ def _search_key(key, cap: int) -> tuple[str, int]:
     return res.outcome, res.length
 
 
+# The key of a vertex that no edge of another colour meets.
+_POINT = ((0,), ((),))
+
+
+def _coloured_components(adjacency, images):
+    """Each component of the graph left when the colouring images drops its
+    monochromatic edges, as a key: the component's colours, renamed by first
+    use, and its adjacency in local indices, both over its vertices in
+    increasing order.  Two components with equal keys are the same coloured
+    graph up to relabelling, so they have the same coloured walks."""
+    nbrs = [[w for w in ns if images[w] != c] for ns, c in zip(adjacency, images)]
+    seen = [False] * len(images)
+    for s, ns in enumerate(nbrs):
+        if not ns:
+            yield _POINT
+            continue
+        if seen[s]:
+            continue
+        seen[s] = True
+        verts = [s]
+        for v in verts:  # breadth first: verts grows while it is read
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    verts.append(w)
+        verts.sort()
+        local = dict(zip(verts, range(len(verts))))
+        rename: dict[int, int] = {}
+        yield (tuple([rename.setdefault(images[v], len(rename)) for v in verts]),
+               tuple([tuple(map(local.__getitem__, nbrs[v])) for v in verts]))
+
+
+def _solve(component, cap: int, solved: dict, searched: dict) -> tuple[str, int]:
+    """(outcome, length) of a component key that solved does not hold.
+
+    Its quotient, in the quotient's own indices, is a coloured graph with the
+    same walks, so it is looked up in solved as well, then by its canonical
+    key in searched; only a quotient new up to isomorphism is searched."""
+    colours, adjacency = component
+    quotient, colour = _quotient(adjacency, colours)
+    labelled = (tuple(colour), quotient.adjacency)
+    found = solved.get(labelled)
+    if found is None:
+        key = _canonical_key(quotient.adjacency, colour, range(quotient.vertex_count))
+        found = searched.get(key)
+        if found is None:
+            found = searched[key] = _search_key(key, cap)
+        solved[labelled] = found
+    return found
+
+
 def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundReport:
     """Confirm that no k-colouring of g admits a square-free walk of cap length.
 
     All colourings are enumerated up to permutation of the k colours (the
     square-freeness of a coloured walk is invariant under relabelling the
-    colours).  Each colouring is reduced to its quotient (see _quotient),
-    whose walks have the same colour words; a walk stays in one component,
-    and each distinct component, up to isomorphism and colour renaming, is
-    searched once.  Verdict True means every class exhausted below the cap.
+    colours).  A walk never takes a monochromatic edge and stays in one
+    component of what is left, so each colouring's result is the best over
+    those components, and each distinct component (_coloured_components) is
+    solved once.  A new one is reduced to its quotient (see _quotient), whose
+    walks have the same colour words, and each distinct quotient, up to
+    isomorphism and colour renaming, is searched once.  Refinement never lets
+    a vertex's class depend on another component, so a component has the
+    quotient it would have inside the whole graph.  Verdict True means every
+    class exhausted below the cap.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    searched: dict[tuple, tuple[str, int]] = {}  # component key -> (outcome, length)
+    solved: dict[tuple, tuple[str, int]] = {}  # coloured graph key -> (outcome, length)
+    searched: dict[tuple, tuple[str, int]] = {}  # canonical key -> (outcome, length)
     entries = []
     verdict = True
     for images in _canonical_colourings(g.vertex_count, k):
         outcome, length = "max_length", 0
-        quotient, colour = _quotient(g.adjacency, images)
-        for component in components(quotient):
-            key = _canonical_key(quotient.adjacency, colour, component.vertices)
-            found = searched.get(key)
+        for component in _coloured_components(g.adjacency, images):
+            found = solved.get(component)
             if found is None:
-                found = searched[key] = _search_key(key, cap)
+                found = solved[component] = _solve(component, cap, solved, searched)
             if found[0] == "bound_exceeded":
                 outcome, length = found
                 verdict = False

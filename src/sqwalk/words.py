@@ -287,17 +287,20 @@ def brute_force_square_check(w: Word) -> bool:
 _TAIL = 8
 
 
-def _suffix_check(width: int):
-    """check(rev): True iff no square ends at the newest letter of the word
-    that rev holds newest letter first, at width bytes per letter (so, if the
-    rest is square-free, iff the word is).  In rev such a square starts at
-    offset 0: one re match finds any of half-length up to _TAIL (read once,
-    here); a longer one repeats the first _TAIL letters L letters on, so
-    bytes.find lists the aligned copies with L in (_TAIL, n // 2] and
-    startswith confirms each one."""
+def _suffix_check(width: int, span: int = 1):
+    """check(rev): True iff no square ends in the newest span letters of the
+    word that rev holds newest letter first, at width bytes per letter (so,
+    if the word without them is square-free, iff the word is).  In rev such a
+    square starts at one of the first span letters.  For the first: one re
+    match finds any of half-length up to _TAIL (read once, here); a longer
+    one repeats the first _TAIL letters L letters on, so bytes.find lists the
+    aligned copies with L in (_TAIL, n // 2] and startswith confirms each
+    one.  A square that starts at a later letter starts the rest of rev from
+    there, so a wider span runs the same check on each of those rests."""
     tw = _TAIL * width
     w2 = 2 * width
-    short = re.compile(b"((?:.{%d}){1,%d}?)\\1" % (width, _TAIL), re.DOTALL).match
+    letter = b"." if width == 1 else b"(?:.{%d})" % width
+    short = re.compile(b"(%s{1,%d}?)\\1" % (letter, _TAIL), re.DOTALL).match
 
     def check(rev) -> bool:
         if short(rev):
@@ -313,7 +316,10 @@ def _suffix_check(width: int):
             q = rev.find(head, q - q % width + width, hi)  # next letter boundary
         return True
 
-    return check
+    if span == 1:
+        return check
+    rests = [slice(s, None) for s in range(0, span * width, width)]
+    return lambda rev: all(map(check, map(rev.__getitem__, rests)))
 
 
 def _backtrack(starts, successors, colour, top: int, cap: int, stop=None):

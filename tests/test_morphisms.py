@@ -15,6 +15,11 @@ from sqwalk.words import Word, brute_force_square_check, has_factor, is_square_f
 
 THUE_27 = "012021012102012021020121012"
 ALPHA_010_SQUARE = "2120102120210120"
+THUE_300 = fixed_point_stream(TAU, 0).prefix(300)
+# Leech's uniform square-free morphism of A3
+LEECH = Morphism(3, 3, ((0, 1, 2, 1, 0, 2, 1, 2, 0, 1, 2, 1, 0),
+                        (1, 2, 0, 2, 1, 0, 2, 0, 1, 2, 0, 2, 1),
+                        (2, 0, 1, 0, 2, 1, 0, 1, 2, 0, 1, 0, 2)))
 # the claw walk's morphism: letter a to (leaf a + 1, hub 0), from A3 into A4
 CLAW = Morphism(3, 4, ((1, 0), (2, 0), (3, 0)))
 
@@ -312,32 +317,80 @@ class TestPreservation:
     def test_matches_brute_force_on_random_morphisms(self):
         self.check_random_morphisms(random.Random(2011), 500, lambda x: x)
 
+    def test_long_images_and_deep_sweeps_match_brute_force(self):
+        self.check_random_morphisms(random.Random(2013), 400, lambda x: x, 24, 7)
+
     @pytest.mark.parametrize("relabel", [lambda x: 300 + x, lambda x: 0x0107 + 0x100 * x,
                                          lambda x: 70_000 * (x + 1)],
                              ids=["2byte", "shared-low-byte", "3byte"])
     def test_wide_target_letters_match_brute_force(self, relabel):
         self.check_random_morphisms(random.Random(2012), 150, relabel)
+        self.check_random_morphisms(random.Random(2014), 100, relabel, 24, 7)
+
+    @pytest.mark.parametrize("m,max_len,forbid", [
+        (ALPHA_P5, 7, ()), (ALPHA_P5, 7, ("010",)), (ALPHA_P5, 7, ("010", "212")),
+        (ALPHA_C4, 8, ())], ids=["p5", "p5-010", "p5-010-212", "c4"])
+    def test_builtin_sweeps_match_brute_force(self, m, max_len, forbid):
+        forbidden = [w(f, m.source_alphabet_size) for f in forbid]
+        got = preservation_test(m, max_len, forbidden)
+        want = reference_preservation(m, max_len, forbidden)
+        assert (got.letters if got else None) == want
 
     @staticmethod
-    def check_random_morphisms(rng, count, relabel):
-        # Tuple order is depth-first preorder, so the sweep's first
-        # counterexample is the tuple-order minimum of all counterexamples.
+    def check_random_morphisms(rng, count, relabel, longest_image=5, deepest=5):
+        """Images are cut from the images of a square-free morphism (LEECH,
+        ALPHA_T5, ALPHA_C4), of ALPHA_P5 or from the Thue word, or are those
+        images whole when they fit; letters are renamed, and in half of the
+        morphisms one letter is changed.  So the images are not uniform, and
+        many sweeps pass or fail deep."""
+        sources = [m.images for m in (LEECH, ALPHA_T5, ALPHA_C4, ALPHA_P5)]
+        sources.append((THUE_300.letters,))
         for _ in range(count):
-            n, t = rng.randint(1, 3), rng.randint(1, 4)
-            images = tuple(tuple(relabel(rng.randrange(t)) for _ in range(rng.randint(1, 5)))
-                           for _ in range(n))
-            m = Morphism(n, relabel(t - 1) + 1, images)
+            n = rng.choice((1, 2, 3, 3))
+            source = rng.choice(sources)
+            whole = rng.random() < 0.5
+            t = max(map(max, source)) + 1
+            rename = rng.sample(range(t + 1), t)  # one letter of t + 1 left unused
+            images = []
+            for _ in range(n):
+                full = rng.choice(source)
+                size = len(full)
+                if not whole or size > longest_image:
+                    size = rng.randint(1, min(longest_image, size))
+                start = rng.randrange(len(full) - size + 1)
+                images.append([rename[a] for a in full[start:start + size]])
+            if rng.random() < 0.5:
+                img = rng.choice(images)
+                img[rng.randrange(len(img))] = rng.randrange(t + 1)
+            m = Morphism(n, relabel(t) + 1, tuple(tuple(map(relabel, img)) for img in images))
             forbidden = [Word(tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))), n)
-                         for _ in range(rng.randint(0, 2))]
-            max_len = rng.randint(1, 5)
-            words = (Word(v, n) for k in range(1, max_len + 1)
-                     for v in itertools.product(range(n), repeat=k))
-            hits = [v.letters for v in words
-                    if brute_force_square_check(v)
-                    and not any(has_factor(v, f) for f in forbidden)
-                    and not brute_force_square_check(apply(m, v))]
+                         for _ in range(rng.choice((0, 0, 1, 2)))]
+            max_len = rng.randint(1, deepest)
             hit = preservation_test(m, max_len, forbidden)
-            assert (hit.letters if hit else None) == min(hits, default=None)
+            assert (hit.letters if hit else None) == reference_preservation(m, max_len, forbidden)
+
+
+def reference_preservation(m, max_len, forbidden):
+    """The least counterexample in tuple order, or None: every square-free
+    word of at most max_len letters that avoids the forbidden factors, in
+    depth-first lexicographic order (a prefix first, so the order of tuples),
+    with its whole image rescanned by the oracle."""
+    n = m.source_alphabet_size
+
+    def first(word):
+        for a in range(n):
+            v = Word(word + (a,), n)
+            if not brute_force_square_check(v) or any(has_factor(v, f) for f in forbidden):
+                continue  # neither v nor any extension of it is swept
+            if not brute_force_square_check(apply(m, v)):
+                return v.letters
+            if len(v) < max_len:
+                hit = first(v.letters)
+                if hit is not None:
+                    return hit
+        return None
+
+    return first(())
 
 
 def reference_alignment(m, letters, window):

@@ -243,6 +243,16 @@ def gamma_graphs():
     yield from [cycle_graph(4), claw_graph(), cycle_graph(5), cycle_graph(6),
                 cycle_graph(7), cycle_graph(8), path_graph(7), double_star(2, 2),
                 double_star(3, 3)]
+    # Components that are one coloured graph under different labels: two
+    # P4s on interleaved labels, P3 + C4 + P3, and S(2,2) twice, the second
+    # copy relabelled.
+    yield Graph(8, [(0, 2), (2, 4), (4, 6), (3, 1), (1, 7), (7, 5)])
+    yield Graph(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8), (8, 9)])
+    sigma = (9, 6, 11, 7, 10, 8)
+    edges = double_star(2, 2).edges
+    yield Graph(12, list(edges) + [(sigma[v], sigma[w]) for v, w in edges])
+    yield Graph(0, [])
+    yield Graph(3, [])
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(5, 7)
@@ -255,6 +265,8 @@ class TestGammaQuotientsMatchEveryClass:
     def test_every_class(self, k, cap):
         exceeded = 0
         for g in gamma_graphs():
+            if colouring_class_count(g.vertex_count, k, 10_000) > 10_000:
+                continue  # one reference search per class would take too long
             report = verify_gamma_lower_bound(g, k, cap)
             got = [(phi.colours, outcome, length) for phi, outcome, length in report.entries]
             expected = reference_gamma_entries(g, k, cap)
