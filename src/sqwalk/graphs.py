@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
@@ -99,67 +98,62 @@ def _adjacency(n: int, us, vs) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, adj))
 
 
-# Edge-list lines end at the characters str.splitlines breaks at.  The
-# patterns below read "\r\n" as two breaks around a blank line, which changes
-# nothing.  _SPACE is the whitespace within a line: with _EOL it makes up the
-# whitespace str.split breaks at.  The patterns are strings, compiled on first
-# use and cached by re, since compiling their non-ASCII classes takes about
-# 1 ms each.
-_EOL = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_SPACE = rf"[^\S{_EOL}]"
-# blank and comment lines, then the first other line (the header)
-_HEADER = rf"(?:{_SPACE}*(?:#[^{_EOL}]*)?[{_EOL}])*([^{_EOL}]*)"
-_COMMENT = rf"[{_EOL}]{_SPACE}*#[^{_EOL}]*"
-# the line break before a line that is neither blank nor two tokens
-_BAD_LINE = rf"[{_EOL}](?!{_SPACE}*(?:\S+{_SPACE}+\S+{_SPACE}*)?(?:[{_EOL}]|\Z))"
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: "n=<count>" then one "i j" line per edge.
 
-    Blank lines and lines starting with # are skipped; duplicate edges are
-    merged.  Malformed lines, out-of-range vertices and self-loops are
-    distinct errors, and a vertex count above MAX_VERTICES is refused
-    after the line checks, before any neighbour list is allocated.
-
-    The body after the header is read in bulk: comment lines are cut out
-    with one substitution (only when a # occurs), one search finds any line
-    that is not two tokens, and one ``int`` per token gives the edge
-    columns.  Only a failed check walks the lines, to name the first
-    malformed one.
+    Lines are those of str.splitlines.  Blank lines and lines starting with #
+    are skipped; duplicate edges are merged.  Malformed lines, out-of-range
+    vertices and self-loops are distinct errors, the first in file order
+    named, and a vertex count above MAX_VERTICES is refused after the line
+    checks, before any neighbour list is allocated.
     """
-    head = re.match(_HEADER, text)
-    header = head.group(1).strip()
-    if not header.startswith("n="):
-        raise ValueError('graph text must start with an "n=<vertex_count>" line')
-    try:
-        n = int(header[2:])
-    except ValueError:
-        raise ValueError(f"malformed vertex count line {header!r}") from None
-    body = text[head.end():]  # starts with the header's line break
-    if "#" in body:
-        body = re.sub(_COMMENT, "\n", body)
-    if re.search(_BAD_LINE, body) is None:
+    n, nums = _plain_layout(text) or _edge_lines(text)
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return Graph._from_columns(n, nums[0::2], nums[1::2])
+
+
+def _plain_layout(text: str) -> Optional[tuple[int, list[int]]]:
+    """(vertex count, edge ends) of a text that, stripped, equals its tokens
+    put back as the header and "i j" lines, one space inside and "\n"
+    between; None for any other text or a token that is not an int."""
+    tokens = text.split()
+    if (len(tokens) % 2 and tokens[0][:2] == "n="
+            and text.strip() == ("%s" + "\n%s %s" * (len(tokens) // 2)) % tuple(tokens)):
         try:
-            nums = list(map(int, body.split()))
+            return int(tokens[0][2:]), list(map(int, tokens[1:]))
         except ValueError:
-            pass
-        else:
-            if n > MAX_VERTICES:
-                raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-            return Graph._from_columns(n, nums[0::2], nums[1::2])
-    raise _malformed_line(body)
+            pass  # _edge_lines names the line
+    return None
 
 
-def _malformed_line(body: str) -> ValueError:
-    """The error naming the first line of body that is neither blank nor two ints."""
-    for ln in map(str.strip, body.splitlines()):
-        if ln:
+def _edge_lines(text: str) -> tuple[int, list[int]]:
+    """The vertex count and the edge ends in order, read line by line as the
+    format defines them, or the ValueError naming the first line that is not
+    the header or two ints."""
+    n = None
+    nums: list[int] = []
+    for ln in text.splitlines():
+        parts = ln.split()
+        if not parts or parts[0][0] == "#":  # a blank or comment line
+            continue
+        if n is None:
+            header = ln.strip()
+            if not header.startswith("n="):
+                break
             try:
-                _, _ = map(int, ln.split())
+                n = int(header[2:])
             except ValueError:
-                return ValueError(f"malformed edge line {ln!r}")
-    raise AssertionError("parse_graph found a malformed line that this walk does not")
+                raise ValueError(f"malformed vertex count line {header!r}") from None
+            continue
+        try:
+            i, j = parts
+            nums += int(i), int(j)
+        except ValueError:
+            raise ValueError(f"malformed edge line {ln.strip()!r}") from None
+    if n is None:
+        raise ValueError('graph text must start with an "n=<vertex_count>" line')
+    return n, nums
 
 
 def render_graph(g: Graph) -> str:

@@ -102,22 +102,23 @@ def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:
 class GammaLowerBoundReport:
     """Outcome of sweeping every k-colouring class of a graph.
 
-    Each entry is (colouring, outcome, length).  Classes with the same
-    quotient share one search, so entries carry no witnesses or node counts."""
+    Each entry is (colours, outcome, length), colours[v] the colour of v.
+    Classes with the same quotient share one search, so entries carry no
+    witnesses or node counts."""
 
     verdict: bool  # True: every colouring class stays finite below the cap
     colours: int
     cap: int
-    entries: tuple[tuple[Colouring, str, int], ...]
+    entries: tuple[tuple[tuple[int, ...], str, int], ...]
 
     def __bool__(self) -> bool:
         return self.verdict
 
     def render(self) -> str:
         lines = []
-        for phi, outcome, length in self.entries:
-            phi_text = Word(phi.colours, phi.target_alphabet_size).text()
-            lines.append(f"colouring={phi_text} outcome={outcome} {length}")
+        for colours, outcome, length in self.entries:
+            text = Word(colours, self.colours).text()
+            lines.append(f"colouring={text} outcome={outcome} {length}")
         lines.append(f"verdict={'true' if self.verdict else 'false'}")
         return "\n".join(lines)
 
@@ -351,5 +352,5 @@ def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundRepor
                 verdict = False
                 break
             length = max(length, found[1])
-        entries.append((Colouring(g.vertex_count, k, images), outcome, length))
+        entries.append((images, outcome, length))
     return GammaLowerBoundReport(verdict, k, cap, tuple(entries))

@@ -238,12 +238,12 @@ def cycle_walk_stream(n: int) -> InfiniteWordStream:
     calls, one per pair, and checks the pair that straddles the boundary
     with the previous block by hand.
 
-    The levels still nest, one stream per vertex, so from n ~ 335 on a
-    prefix exceeds Python's recursion limit.  A single pass over the Thue
-    word would not nest, but it waits for perfbench's cli workload to
-    change: that workload expects `generate cycle:2000` to crash, and checks
-    its output as ten digits, where a working call prints comma-separated
-    letters.
+    The levels still nest, one stream per vertex, so from an n in the low
+    330s, which depends on the caller's stack depth, a prefix exceeds
+    Python's recursion limit.  A single pass over the Thue word would not
+    nest, but it waits for perfbench's cli workload to change: that workload
+    expects `generate cycle:2000` to crash, and checks its output as ten
+    digits, where a working call prints comma-separated letters.
     """
     if n < 3:
         raise ValueError("cycle walks need n >= 3")

@@ -188,6 +188,19 @@ def edge_list_texts(draw):
     return text if draw(st.booleans()) else text[:-len(breaks[-1])]
 
 
+@st.composite
+def plain_layout_texts(draw):
+    """The layout parse_graph reads in bulk: the header, then "i j" lines with
+    one space inside and "\n" between, and maybe a final "\n".  Tokens that
+    are no int (or a comment mark) send the text to the line loop, so most
+    tokens are small ints."""
+    token = st.integers(0, 9).flatmap(
+        lambda k: _TOKENS if k == 0 else st.integers(-1, 7).map(str))
+    lines = ["n=" + draw(token)]
+    lines += [f"{i} {j}" for i, j in draw(st.lists(st.tuples(token, token), max_size=12))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
 class TestBulkBuildMatchesReference:
     @settings(max_examples=600, deadline=None)
     @given(edge_list_texts())
@@ -198,6 +211,26 @@ class TestBulkBuildMatchesReference:
     @given(st.text("0123 \t\r\n#x+_-\x1c\x85\u2028\u0663", max_size=40))
     def test_parse_graph_any_text_after_a_header(self, body):
         text = "n=4\n" + body
+        assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(plain_layout_texts())
+    def test_plain_layout(self, text):
+        assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        "n=4\n0 1\n#1 2\n2 3\n",  # "#1 2" is a comment line
+        "n=4\r\n0 1\r\n1 2\r\n2 3\r\n",
+        "n=4\x85\n0 1\n1 2",  # \x85 ends the header line
+        "n=\x854\n0 1\n",  # ... and here leaves the count empty
+        "n=4\x1c5\n0 1\n",  # \x1c puts "5" on a line of its own
+        "\n n=4\n0 1\n1 2\x85",
+        "n=4",
+        "n=4\n0 1\n2",
+        "n=4\n0 \u0661\n1 x\n0 1 2\n",
+        "# n=4\n0 1\n",
+    ])
+    def test_plain_looking_texts(self, text):
         assert outcome(parse_graph, text) == outcome(reference_parse, text)
 
     @settings(max_examples=400, deadline=None)
