@@ -65,14 +65,29 @@ def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult
 
     The consumed ordered pairs are carried as search state: letter a may
     follow letter b only while the reverse pair ab has not occurred.
+
+    Both conditions survive any renaming of the letters, and renaming 0 -> a,
+    1 -> b (the other letters in increasing order) maps the words that start
+    01 one-to-one onto those that start ab.  So only the word 0 and the words
+    that start 01 are searched, and the result of the search over every word
+    is rebuilt from theirs.  Stopped at the cap, it is already that result:
+    the full search meets 0 and then the 01 subtree first, and the first cap
+    word in the 01 subtree is also the first in the full order.  Exhausted
+    with N nodes, the full tree has k * (1 + (k - 1) * (N - 1)) nodes, and
+    its witnesses are the renamings of the longest words over every ordered
+    pair (a, b), sorted: pre-order with letters in increasing order is
+    lexicographic order.
     """
     if alphabet_size < 1 or cap < 1:
         raise ValueError("alphabet_size and cap must be >= 1")
+    k = alphabet_size
     pairs: set[tuple[int, int]] = set()
+    letters = range(k)
+    seconds = letters[1:2]  # the words that start 01 (none when k = 1)
 
     def successors(buf):
         last = buf[-1]
-        for a in range(alphabet_size):
+        for a in letters if len(buf) > 1 else seconds:
             if a == last or (a, last) in pairs:
                 continue  # an immediate square, or the reverse order is a factor
             new = (last, a)
@@ -83,8 +98,19 @@ def longest_square_free_tournament(alphabet_size: int, cap: int) -> SearchResult
                 yield a
                 pairs.discard(new)
 
-    letters = range(alphabet_size)
-    return _search(letters, successors, letters, alphabet_size - 1, cap, alphabet_size)
+    result = _search((0,), successors, letters, k - 1, cap, k)
+    if result.bound_exceeded or k == 1:
+        return result  # k = 1: the word 0 is the whole tree
+    witnesses = []
+    for a in letters:
+        for b in letters:
+            if a != b:
+                renamed = (a, b, *(c for c in letters if c != a and c != b))
+                witnesses.extend(tuple(map(renamed.__getitem__, w.letters))
+                                 for w in result.witnesses)
+    witnesses.sort()
+    return SearchResult(result.outcome, result.length, tuple(Word(w, k) for w in witnesses),
+                        k * (1 + (k - 1) * (result.nodes_explored - 1)))
 
 
 def max_coloured_walk(g: Graph, phi: Colouring, cap: int) -> SearchResult:

@@ -158,6 +158,8 @@ def test_criterion_11_tournament():
     res = longest_square_free_tournament(4, 30)
     base = "01201320120320132032"
     texts = {w.letters for w in res.witnesses}
+    # closed by construction (the witnesses are renamings of the 01 subtree's);
+    # test_search's recursive reference checks the rebuild independently
     closed = all(tuple(perm[a] for a in word) in texts
                  for word in texts
                  for perm in itertools.permutations(range(4)))

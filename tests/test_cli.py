@@ -18,6 +18,16 @@ from sqwalk.cli import MAX_GAMMA_LOWER_CLASSES, main
 
 THUE_27 = "012021012102012021020121012"
 
+# the 24 longest square-free tournament words over four letters, in stdout order
+TOURNAMENT_A4_WITNESSES = """
+01201320120320132032 01301230130230123023 02102310210310231031 02302130230130213013
+03103210310210321021 03203120320120312012 10210321021321032132 10310231031231023123
+12012301201301230130 12312031231031203103 13013201301201320120 13213021321021302102
+20120312012312031231 20320132032132013213 21021302102302130230 21321032132032103203
+23023102302102310210 23123012312012301201 30130213013213021321 30230123023123012312
+31031203103203120320 31231023123023102302 32032103203103210310 32132013213013201301
+""".split()
+
 
 def _cycle_text(n):
     return f"n={n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
@@ -220,7 +230,17 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "tournament", "--alphabet", "4",
                            "--cap", "30")
         assert code == 0
-        assert out.splitlines()[0] == "outcome=max_length 20"
+        assert out == "\n".join([
+            "outcome=max_length 20",
+            *(f"witness={w}" for w in TOURNAMENT_A4_WITNESSES),
+            "nodes=2944", ""])
+
+    def test_tournament_a3(self, capsys):
+        code, out, _ = run(capsys, "search", "tournament", "--alphabet", "3",
+                           "--cap", "10")
+        assert code == 0
+        assert out == ("outcome=max_length 5\nwitness=01201\nwitness=02102\nwitness=10210\n"
+                       "witness=12012\nwitness=20120\nwitness=21021\nnodes=27\n")
 
     def test_gamma_lower(self, capsys):
         code, out, _ = run(capsys, "search", "gamma-lower", "--graph", "c4",

@@ -99,7 +99,24 @@ class TestTournamentSearch:
         assert TOURNAMENT_20 in texts
         assert texts == sorted(texts)  # leaves come out in pre-order, lexicographic here
 
+    def test_a4_searches_only_the_words_that_start_01(self, monkeypatch):
+        # the engine exhausts the word 0 and the 01 subtree: 1 + 245 of the
+        # 2944 nodes; the other 4 * 3 - 1 subtrees are renamings of it
+        engine_nodes = []
+
+        def counting(*args, **kwargs):
+            nodes, found, stopped = words._backtrack(*args, **kwargs)
+            engine_nodes.append(nodes)
+            return nodes, found, stopped
+
+        monkeypatch.setattr(search, "_backtrack", counting)
+        res = longest_square_free_tournament(4, 30)
+        assert res.nodes_explored == 2944
+        assert engine_nodes == [246]
+
     def test_a4_witness_set_is_the_permutation_orbit(self):
+        # holds by construction now that the witnesses are renamings of the
+        # 01 subtree's; the recursive reference below is the independent check
         res = longest_square_free_tournament(4, 30)
         base = tuple(int(c) for c in TOURNAMENT_20)
         orbit = set()
@@ -417,9 +434,11 @@ class TestMatchesRecursiveReference:
                                             range(g.vertex_count))
                 assert longest_square_free_walk(g, cap) == expected, (g.edges, cap)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_tournaments(self, k):
-        for cap in (1, 5, 30, 60):
+        # every cap: at A4 caps 12-20 the search stops after more nodes than
+        # the cap, inside the 01 subtree that it rebuilds the others from
+        for cap in range(1, 46):
             expected = reference_search(k, cap, lambda v: range(k), range(k), tournament=True)
             assert longest_square_free_tournament(k, cap) == expected
 
