@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
         if hit is None:
             return 0
         p, half = hit
-        u = Word(w.letters[p:p + half], w.alphabet_size)
+        u = Word(w[p:p + half], w.alphabet_size)
         print(f"square ({u.text()})^2 at position {p}")
         return 1
     if args.predicate == "g-word":

@@ -79,10 +79,10 @@ def parse_morphism(text: str) -> Morphism:
 
 def apply(m: Morphism, w: Word) -> Word:
     """Image of w under m: the concatenation of the letter images."""
-    top = max(w.letters, default=-1)
+    top = max(w, default=-1)
     if top >= m.source_alphabet_size:
         raise ValueError(f"letter {top} outside source alphabet")
-    return Word(tuple(_expand(m.images, w.letters)), m.target_alphabet_size)
+    return Word(_expand(m.images, w), m.target_alphabet_size)
 
 
 class Colouring(Morphism):
@@ -189,7 +189,8 @@ class InfiniteWordStream:
         self._length += len(chunk)
 
     def prefix(self, n: int) -> Word:
-        """The first n letters as a Word."""
+        """The first n letters as a Word, encoded straight into its packed
+        form: no tuple of letters is built."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         while self._length < n:
@@ -197,9 +198,15 @@ class InfiniteWordStream:
         s = "".join(self._chunks)
         if len(s) > n:
             s = s[:n]
-        if self.alphabet_size <= 256:  # code points below 256: latin-1 is one byte each
+        try:  # code points below 256: latin-1 is one byte each
             return Word.from_bytes(s.encode("latin-1"), self.alphabet_size)
-        return Word(tuple(map(ord, s)), self.alphabet_size)
+        except UnicodeEncodeError:  # a letter past 255
+            pass
+        if ord(max(s)) < min(self.alphabet_size, 1 << 16):
+            # two bytes a letter, big-endian: how Word packs a largest
+            # letter from 256 to 2**16 - 1
+            return Word._of(self.alphabet_size, 2, s.encode("utf-16-be", "surrogatepass"))
+        return Word(tuple(map(ord, s)), self.alphabet_size)  # wider, or a letter outside
 
     def blocks(self, size: int = _BLOCK) -> Iterator[str]:
         """Successive nonempty slices of at most size letters from the start.

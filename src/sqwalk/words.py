@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Optional
@@ -13,34 +14,63 @@ _BYTES = bytes(range(256))
 # Letters 0-9 to their ASCII digits and back: the digit format of Word.text.
 _DIGITS = bytes.maketrans(_BYTES[:10], b"0123456789")
 _UNDIGITS = bytes.maketrans(b"0123456789", _BYTES[:10])
+# Letters 0-255 to their decimal names: the comma format of Word.text.
+_NAMES = tuple(map(str, range(256)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Word:
-    """Immutable word over the alphabet {0, ..., alphabet_size-1}."""
+    """Immutable word over the alphabet {0, ..., alphabet_size-1}.
 
-    letters: tuple[int, ...]
+    A Word keeps its letters only in packed form, _packed = (width, bytes):
+    width bytes per letter, big-endian, width the least that holds its
+    largest letter (one byte when every letter is below 256), which is the
+    format find_square and the pair checks read.  len, iteration, indexing
+    (a slice gives a tuple), text(), == and hash read that form: two words
+    are equal when their alphabet sizes, widths and bytes are, so equal
+    letter sequences give equal words with equal hashes.  letters, the
+    tuple, is built on first read and then kept.  Letters that are not all
+    ints cannot be packed: such a word keeps their tuple in place of the
+    bytes, and text() and the checks raise TypeError on it.
+    """
+
     alphabet_size: int
+    _packed: tuple
 
-    def __post_init__(self):
-        if self.alphabet_size < 1:
+    def __init__(self, letters: Iterable[int], alphabet_size: int):
+        if alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
-        if type(self.letters) is tuple:  # bytes() of an int or a buffer would not list letters
-            # Every letter in the alphabet iff deleting the alphabet's bytes
-            # leaves nothing; those bytes are then the word's packed form.
-            # The loop below decides every other case and names the first
-            # bad letter.
-            try:
-                packed = bytes(self.letters)
-                if not packed.translate(None, _BYTES[:self.alphabet_size]):
-                    self.__dict__["_packed"] = 1, packed
-                    return
-            except (TypeError, ValueError):  # a letter past 255, negative or not an int
-                pass
-        for a in self.letters:
-            if not 0 <= a < self.alphabet_size:
+        if not isinstance(letters, (tuple, list)):
+            letters = tuple(letters)  # read an iterator, a range or bytes once
+        # Every letter in the alphabet iff deleting the alphabet's bytes
+        # leaves nothing; those bytes are then the packed word.  The loop
+        # below decides every other case and names the first bad letter.
+        try:
+            packed = bytes(letters)
+            if not packed.translate(None, _BYTES[:alphabet_size]):
+                self._set(alphabet_size, 1, packed)
+                return
+        except (TypeError, ValueError):  # a letter past 255, negative or not an int
+            pass
+        for a in letters:
+            if not 0 <= a < alphabet_size:
                 raise ValueError(
-                    f"letter {a} outside alphabet of size {self.alphabet_size}")
+                    f"letter {a} outside alphabet of size {alphabet_size}")
+        try:
+            self._set(alphabet_size, *_pack(letters))
+        except TypeError:  # a letter that is not an int
+            self._set(alphabet_size, 1, tuple(letters))
+
+    def _set(self, alphabet_size: int, width: int, packed) -> "Word":
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "_packed", (width, packed))
+        return self
+
+    @classmethod
+    def _of(cls, alphabet_size: int, width: int, packed: bytes) -> "Word":
+        """The word packed at width bytes per letter, taken as it is: the
+        caller vouches for the letters and for width being the least."""
+        return cls.__new__(cls)._set(alphabet_size, width, packed)
 
     @classmethod
     def from_letters(cls, letters: Iterable[int], alphabet_size: Optional[int] = None) -> "Word":
@@ -52,15 +82,12 @@ class Word:
 
     @classmethod
     def from_bytes(cls, packed: bytes, alphabet_size: int) -> "Word":
-        """The word whose letters are the bytes of packed, which it keeps as
-        its packed form: the letters are checked with one bytes.translate and
-        never packed again."""
+        """The word whose letters are the bytes of packed, kept as its packed
+        form: the letters are checked with one bytes.translate, and no
+        tuple of them is built."""
         if alphabet_size < 1 or packed.translate(None, _BYTES[:alphabet_size]):
             return cls(tuple(packed), alphabet_size)  # raises, naming the fault
-        w = cls.__new__(cls)
-        w.__dict__.update(letters=tuple(packed), alphabet_size=alphabet_size,
-                          _packed=(1, packed))
-        return w
+        return cls._of(alphabet_size, 1, bytes(packed))
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
@@ -82,42 +109,83 @@ class Word:
                 alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
             return cls.from_bytes(ls, alphabet_size)
         try:
-            ls = tuple(int(part) for part in text.split(","))
+            ls = [int(part) for part in text.split(",")]
         except ValueError:
             raise ValueError(f"malformed word {text!r}") from None
         if any(a < 0 for a in ls):
             raise ValueError(f"negative letter in {text!r}")
-        return cls.from_letters(ls, alphabet_size)
+        return cls(ls, max(ls) + 1 if alphabet_size is None else alphabet_size)
 
     @cached_property
-    def _packed(self) -> tuple[int, bytes]:
-        """(width, bytes): the letters as _pack packs them, packed once per word."""
-        return _pack(self.letters)
+    def letters(self) -> tuple[int, ...]:
+        """The letters as a tuple: built from the packed form on first read."""
+        return _unpack(*self._packed)
 
     def text(self) -> str:
         """Render: digit string for alphabets up to 10, comma-separated beyond."""
         if self.alphabet_size <= 10:
-            return self._packed[1].translate(_DIGITS).decode()
-        return ",".join(str(a) for a in self.letters)
+            return _packing(self)[1].translate(_DIGITS).decode()
+        width, packed = self._packed
+        return ",".join(map(str, self) if width > 1 else map(_NAMES.__getitem__, packed))
 
     def append(self, letter: int) -> "Word":
-        return Word(self.letters + (letter,), self.alphabet_size)
+        return Word(self[:] + (letter,), self.alphabet_size)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        width, packed = self._packed
+        return len(packed) // width
 
     def __iter__(self):
-        return iter(self.letters)
+        return iter(_word_args(self))
 
     def __getitem__(self, idx):
-        return self.letters[idx]
+        width, packed = self._packed
+        if isinstance(idx, slice):
+            return _unpack(width, packed)[idx] if width > 1 else tuple(packed[idx])
+        if width == 1:
+            return packed[idx]
+        i = range(len(packed) // width)[idx]  # IndexError past either end
+        return int.from_bytes(packed[i * width:(i + 1) * width], "big")
+
+    def __repr__(self) -> str:
+        name = type(self).__qualname__
+        return f"{name}(letters={self[:]!r}, alphabet_size={self.alphabet_size!r})"
 
     def __str__(self) -> str:
         return self.text()
 
 
-def _word_args(w) -> tuple[int, ...]:
-    return w.letters if isinstance(w, Word) else tuple(w)
+def _unpack(width: int, packed) -> tuple[int, ...]:
+    """The letters of a word packed at width bytes each, as a tuple."""
+    if width == 1:
+        return tuple(packed)
+    if width == 2:
+        if sys.byteorder == "little":  # a memoryview reads native order
+            swapped = bytearray(len(packed))
+            swapped[0::2], swapped[1::2] = packed[1::2], packed[0::2]
+            packed = swapped
+        return tuple(memoryview(packed).cast("H"))
+    return tuple([int.from_bytes(packed[i:i + width], "big")
+                  for i in range(0, len(packed), width)])
+
+
+def _packing(w) -> tuple[int, bytes]:
+    """(width, bytes) of w: a Word's own packed form, a letter sequence packed
+    here.  TypeError on a letter that is not an int."""
+    if isinstance(w, Word):
+        if type(w._packed[1]) is bytes:
+            return w._packed
+        w = w._packed[1]  # letters that could not be packed: _pack raises
+    return _pack(w)
+
+
+def _word_args(w):
+    """The letters of w as a sequence of ints: a one-byte-per-letter Word's
+    own bytes, so that no tuple is built, else a tuple."""
+    if isinstance(w, Word):
+        width, packed = w._packed
+        return packed if width == 1 else _unpack(width, packed)
+    return tuple(w)
 
 
 def _letter_width(top: int) -> int:
@@ -128,7 +196,7 @@ def _letter_width(top: int) -> int:
 def _letter_keys(letters, width: int) -> list[bytes]:
     """Each letter as a width-byte big-endian string: the packed format that
     find_square reads."""
-    return [a.to_bytes(width, "big") for a in letters]
+    return [int.to_bytes(a, width, "big") for a in letters]
 
 
 def _pack(letters) -> tuple[int, bytes]:
@@ -160,7 +228,7 @@ def find_square(w: Word) -> Optional[tuple[int, int]]:
     near-linear time, and one more scan at that L finds the leftmost start.
     """
     # a raw tuple or list is packed here: wrapping it in a Word costs more
-    width, packed = w._packed if isinstance(w, Word) else _pack(w)
+    width, packed = _packing(w)
     x = int.from_bytes(packed, "big")
     size = len(packed)
     levels_from = 2 * _B0
@@ -376,7 +444,7 @@ def extends_square_free(w: Word, a: int) -> bool:
     """Given square-free w, decide whether w + [a] is still square-free."""
     if a < 0:
         raise ValueError(f"negative letter {a}")
-    width, packed = w._packed
+    width, packed = _packing(w)
     if _letter_width(a) > width:
         return True  # a is larger than every letter of w, so no square ends at it
     return _suffix_check(width)((packed + a.to_bytes(width, "big"))[::-1])
@@ -384,18 +452,14 @@ def extends_square_free(w: Word, a: int) -> bool:
 
 def has_factor(w: Word, f: Word) -> bool:
     """True iff f occurs contiguously in w (the empty word always does)."""
-    fs = _word_args(f)
-    if not fs:
+    fwidth, needle = _packing(f)
+    if not needle:
         return True
-    ws = _word_args(w)
-    if len(fs) > len(ws):
-        return False
-    width, text = w._packed if isinstance(w, Word) else _pack(ws)
-    fwidth, needle = f._packed if isinstance(f, Word) else _pack(fs)
+    width, text = _packing(w)
     if fwidth > width:
         return False  # f has a letter larger than every letter of w
     if fwidth < width:
-        needle = b"".join(_letter_keys(fs, width))
+        needle = b"".join(_letter_keys(_word_args(f), width))
     k = text.find(needle)
     while k != -1:
         if k % width == 0:
@@ -418,7 +482,7 @@ def _first_pairs(w) -> dict[tuple[int, int], int]:
     _pairs_by_scan.
     """
     if isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET:
-        packed = w._packed[1]  # raises TypeError on a letter that is not an int
+        packed = _packing(w)[1]  # raises TypeError on a letter that is not an int
         if len(packed) > w.alphabet_size ** 2:
             return _pairs_by_code(packed, w.alphabet_size)
     return _pairs_by_scan(_word_args(w))

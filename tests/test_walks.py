@@ -10,7 +10,7 @@ from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
                            find_c4, find_claw, find_p5, find_triangle,
                            induced_subgraph, path_graph)
 from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
-                              Colouring, apply, fixed_point_stream, image_stream)
+                              Colouring, Morphism, apply, fixed_point_stream, image_stream)
 from sqwalk.search import longest_square_free_walk
 from sqwalk.walks import (Classification, ComponentClassification,
                           c4_walk_uniform_stream, classify,
@@ -375,6 +375,18 @@ class TestClawWalkStream:
     def test_picks_three_smallest_neighbours(self):
         g = Graph(6, [(0, 5), (0, 4), (0, 2), (0, 1)])
         assert claw_walk_stream(g, hub=0).prefix(6).text() == "102040"
+
+    @pytest.mark.parametrize("g,hub", [
+        (claw_graph(), 0),
+        (Graph(9, [(4, 0), (4, 8), (4, 2), (4, 6), (0, 7), (7, 3), (7, 5)]), 4),  # degree 4
+    ], ids=["claw", "degree-4-hub"])
+    def test_composed_images_give_the_two_letter_image_stream(self, g, hub):
+        # the reference: the Thue word's image under a -> (targets[a], hub)
+        # itself, two letters an image
+        targets = g.neighbours(hub)[:3]
+        pairs = Morphism(3, g.vertex_count, tuple((t, hub) for t in targets))
+        expected = image_stream(pairs, thue_stream()).prefix(100_000)
+        assert claw_walk_stream(g, hub).prefix(100_000) == expected
 
 
 class TestCycleWalkStream:

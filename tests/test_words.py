@@ -1,9 +1,11 @@
 """Word predicates, cross-validated against the brute-force oracle."""
 
+import dataclasses
 import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqwalk import words
-from sqwalk.graphs import claw_graph
+from sqwalk.graphs import claw_graph, cycle_graph
+from sqwalk.morphisms import InfiniteWordStream
 from sqwalk.walks import (c4_walk_uniform_stream, claw_walk_stream, dean_reduced_stream,
-                          p5_walk_stream, thue_stream, tournament5_stream)
+                          cycle_walk_stream, is_g_word, p5_walk_stream, thue_stream,
+                          tournament5_stream)
 from sqwalk.words import (Word, brute_force_square_check, extends_square_free,
                           find_reduction_violation, find_square, find_tournament_conflict,
                           has_factor, is_reduced_free_group_word, is_square_free,
@@ -83,9 +87,9 @@ class TestWordType:
 
 
 class TestWordValidation:
-    """A tuple of letters below 256 is checked by deleting the alphabet's
-    bytes; any other tuple, and a list, by the letter-by-letter loop, which
-    names the first bad letter.  Both give the same verdicts and messages."""
+    """Letters below 256, in a tuple or a list, are checked by deleting the
+    alphabet's bytes; any others by the letter-by-letter loop, which names
+    the first bad letter.  Both give the same verdicts and messages."""
 
     @pytest.mark.parametrize("letter,size,message", [
         (-1, 3, "letter -1 outside alphabet of size 3"),
@@ -108,7 +112,8 @@ class TestWordValidation:
     def test_verdict_and_message(self, letter, size, message, container):
         for letters in ([letter], [0, letter, 0], [0] * 300 + [letter]):
             if message is None:
-                assert Word(container(letters), size).letters == container(letters)
+                # letters is a tuple whatever the container
+                assert Word(container(letters), size).letters == tuple(letters)
             else:
                 with pytest.raises(ValueError) as exc:
                     Word(container(letters), size)
@@ -138,6 +143,97 @@ class TestWordValidation:
             Word((0, 300, 7, -1), 3)
         with pytest.raises(ValueError, match="^letter -1 outside"):
             Word((0, -1, 7, 300), 3)
+
+
+class TestWordIsItsPackedBytes:
+    """A Word stores only its packed bytes: every way of building one gives
+    the word built from the tuple of its letters, and the tuple itself is
+    built only when letters is read."""
+
+    @staticmethod
+    def built_four_ways(letters, size):
+        """(how, word) for every constructor that takes these letters."""
+        yield "tuple", Word(letters, size)
+        if all(a < 256 for a in letters):
+            yield "from_bytes", Word.from_bytes(bytes(letters), size)
+        if len(letters) != 1 or letters[0] < 10:  # "12" alone reads as two digits
+            sep = "" if size <= 10 else ","
+            yield "from_text", Word.from_text(sep.join(map(str, letters)), size)
+        coded = "".join(map(chr, letters))
+        half = len(coded) // 2
+        stream = InfiniteWordStream(size, lambda _: iter([coded[:half], coded[half:]]))
+        yield "prefix", stream.prefix(len(letters))
+
+    @given(st.sampled_from([1, 2, 9, 255, 300, 65535, 70000]).flatmap(
+        lambda top: st.lists(st.integers(0, top), max_size=30)), st.integers(1, 3))
+    def test_every_constructor_gives_the_tuple_word(self, letters, extra):
+        letters = tuple(letters)
+        size = max(letters, default=0) + extra
+        n = len(letters)
+        reference = Word(letters, size)
+        text = ("" if size <= 10 else ",").join(map(str, letters))
+        for how, word in self.built_four_ways(letters, size):
+            assert word == reference and hash(word) == hash(reference), how
+            assert len(word) == n and tuple(word) == letters, how
+            assert [word[i] for i in range(-n, n)] == list(letters[-n:] + letters), how
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    word[bad]
+            for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                        slice(1, 7, 2), slice(n, None)):
+                part = word[cut]
+                assert type(part) is tuple and part == letters[cut], (how, cut)
+            assert word.text() == text, how
+            assert repr(word) == f"Word(letters={letters!r}, alphabet_size={size!r})", how
+            assert type(word.letters) is tuple and word.letters == letters, how
+
+    def test_width_is_part_of_the_word(self):
+        # both pack to the bytes 01 00: one letter a byte, or one letter of two
+        narrow, wide = Word((1, 0), 300), Word((256,), 300)
+        assert narrow._packed[1] == wide._packed[1] == b"\x01\x00"
+        assert narrow != wide and len({narrow, wide}) == 2
+        assert narrow.letters == (1, 0) and wide.letters == (256,)
+
+    @pytest.mark.parametrize("letters", [[0, 1, 0, 1], b"\x00\x01\x00\x01",
+                                         (a % 2 for a in range(4))])
+    def test_letters_are_a_tuple_whatever_the_container(self, letters):
+        word = Word(letters, 2)
+        assert type(word.letters) is tuple and word.letters == (0, 1, 0, 1)
+        assert word == Word((0, 1, 0, 1), 2) and hash(word) == hash(Word((0, 1, 0, 1), 2))
+        assert repr(word) == "Word(letters=(0, 1, 0, 1), alphabet_size=2)"
+
+    def test_a_word_is_immutable(self):
+        word = Word((0, 1), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            word.alphabet_size = 3
+
+    def test_checks_and_text_build_no_letter_tuple(self):
+        def holds_letter_tuple(word):
+            return "letters" in vars(word) or any(
+                isinstance(v, tuple) and len(v) == len(word) for v in vars(word).values())
+
+        for word in (thue_stream().prefix(20_000), tournament5_stream().prefix(20_000),
+                     dean_reduced_stream().prefix(20_000), cycle_walk_stream(20).prefix(20_000)):
+            assert find_square(word) is None
+            is_g_word(cycle_graph(word.alphabet_size), word)
+            is_tournament_word(word)
+            if word.alphabet_size == 4:
+                is_reduced_free_group_word(word)
+            word.text()
+            assert word[5] == word[:10][5]
+            assert not holds_letter_tuple(word)
+            assert word.letters == tuple(word)  # built on first read, then kept
+            assert vars(word)["letters"] is word.letters
+
+    def test_million_letter_text_peaks_below_six_megabytes(self):
+        thue_stream().prefix(10).text()  # the stream's power images, built once per process
+        tracemalloc.start()
+        try:
+            thue_stream().prefix(10**6).text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000, peak
 
 
 class TestIsSquareFree:
@@ -388,12 +484,14 @@ class TestBruteForceOracle:
     def test_independent_of_find_square(self, monkeypatch):
         def banned(*args):
             raise AssertionError("the oracle called a find_square helper")
+        # built first: a Word packs its letters when it is made
         thue = thue_stream().prefix(500)
+        wide = Word.from_text("0,300,0,300")
         for name in ("find_square", "_pack", "_letter_keys", "_least_block_half",
                      "_suffix_check"):
             monkeypatch.setattr(words, name, banned)
         assert brute_force_square_check(thue)
-        assert not brute_force_square_check(Word.from_text("0,300,0,300"))
+        assert not brute_force_square_check(wide)
 
 
 class TestExtendsSquareFree:
