@@ -189,8 +189,9 @@ class InfiniteWordStream:
         self._length += len(chunk)
 
     def prefix(self, n: int) -> Word:
-        """The first n letters as a Word, encoded straight into its packed
-        form: no tuple of letters is built."""
+        """The first n letters as a Word.  When every letter is below 256
+        they are encoded straight into its packed form, and no tuple of
+        them is built."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         while self._length < n:
@@ -201,12 +202,7 @@ class InfiniteWordStream:
         try:  # code points below 256: latin-1 is one byte each
             return Word.from_bytes(s.encode("latin-1"), self.alphabet_size)
         except UnicodeEncodeError:  # a letter past 255
-            pass
-        if ord(max(s)) < min(self.alphabet_size, 1 << 16):
-            # two bytes a letter, big-endian: how Word packs a largest
-            # letter from 256 to 2**16 - 1
-            return Word._of(self.alphabet_size, 2, s.encode("utf-16-be", "surrogatepass"))
-        return Word(tuple(map(ord, s)), self.alphabet_size)  # wider, or a letter outside
+            return Word(tuple(map(ord, s)), self.alphabet_size)
 
     def blocks(self, size: int = _BLOCK) -> Iterator[str]:
         """Successive nonempty slices of at most size letters from the start.

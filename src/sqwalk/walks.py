@@ -11,7 +11,7 @@ from typing import Iterator, Optional
 from .graphs import (Graph, _component_parts, components, find_c4,  # noqa: F401
                      find_claw, find_p5, find_triangle, induced_subgraph)
 from .morphisms import (ALPHA_C4, ALPHA_T5, BETA_P5, TAU, InfiniteWordStream,
-                        Morphism, _expand, fixed_point_stream, image_stream)
+                        Morphism, _power_images, fixed_point_stream, image_stream)
 from .words import Word, _first_pairs, _least_pair
 
 
@@ -219,19 +219,19 @@ def claw_walk_stream(g: Graph, hub: int) -> InfiniteWordStream:
     neighbours: the image of the Thue word under a -> (targets[a], hub), where
     the targets are the hub's three smallest neighbours.
 
-    The Thue word is also the fixed point of TAU^4, so the walk is its image
-    under that map composed with TAU^4 too, whose images have 48, 32 and 16
-    letters: the stream joins one image per 48 letters rather than per 2."""
+    The Thue word is also the fixed point of TAU^4, the power thue_stream
+    expands by (_power_images), so the walk is its image under that map
+    composed with TAU^4 too, whose images have 48, 32 and 16 letters: the
+    stream joins one image per 48 letters rather than per 2."""
     if not 0 <= hub < g.vertex_count:
         raise ValueError(f"hub {hub} outside vertex range")
     ns = g.neighbours(hub)
     if len(ns) < 3:
         raise ValueError(f"hub {hub} has degree {len(ns)}, need at least 3")
-    images = [(a,) for a in range(3)]
-    for _ in range(4):
-        images = [_expand(TAU.images, img) for img in images]
     claw = tuple((t, hub) for t in ns[:3])
-    m = Morphism(3, g.vertex_count, tuple(tuple(_expand(claw, img)) for img in images))
+    power = _power_images(TAU)  # TAU^4, coded as thue_stream expands by it
+    m = Morphism(3, g.vertex_count, tuple(
+        tuple(x for c in power[chr(a)] for x in claw[ord(c)]) for a in range(3)))
     return image_stream(m, thue_stream())
 
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Optional
 
 
@@ -29,9 +28,10 @@ class Word:
     (a slice gives a tuple), text(), == and hash read that form: two words
     are equal when their alphabet sizes, widths and bytes are, so equal
     letter sequences give equal words with equal hashes.  letters, the
-    tuple, is built on first read and then kept.  Letters that are not all
-    ints cannot be packed: such a word keeps their tuple in place of the
-    bytes, and text() and the checks raise TypeError on it.
+    tuple, is built only when it is read, and the word does not keep it, so
+    a word holds only its packed bytes for as long as it lives.  Letters
+    that are not all ints cannot be packed: such a word keeps their tuple
+    in place of the bytes, and text() and the checks raise TypeError on it.
     """
 
     alphabet_size: int
@@ -67,12 +67,6 @@ class Word:
         return self
 
     @classmethod
-    def _of(cls, alphabet_size: int, width: int, packed: bytes) -> "Word":
-        """The word packed at width bytes per letter, taken as it is: the
-        caller vouches for the letters and for width being the least."""
-        return cls.__new__(cls)._set(alphabet_size, width, packed)
-
-    @classmethod
     def from_letters(cls, letters: Iterable[int], alphabet_size: Optional[int] = None) -> "Word":
         """Build a word, inferring the alphabet as max(letters)+1 when not given."""
         ls = tuple(letters)
@@ -87,7 +81,7 @@ class Word:
         tuple of them is built."""
         if alphabet_size < 1 or packed.translate(None, _BYTES[:alphabet_size]):
             return cls(tuple(packed), alphabet_size)  # raises, naming the fault
-        return cls._of(alphabet_size, 1, bytes(packed))
+        return cls.__new__(cls)._set(alphabet_size, 1, bytes(packed))
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
@@ -109,16 +103,17 @@ class Word:
                 alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
             return cls.from_bytes(ls, alphabet_size)
         try:
-            ls = [int(part) for part in text.split(",")]
+            ls = tuple(int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(f"malformed word {text!r}") from None
         if any(a < 0 for a in ls):
             raise ValueError(f"negative letter in {text!r}")
-        return cls(ls, max(ls) + 1 if alphabet_size is None else alphabet_size)
+        return cls.from_letters(ls, alphabet_size)
 
-    @cached_property
+    @property
     def letters(self) -> tuple[int, ...]:
-        """The letters as a tuple: built from the packed form on first read."""
+        """The letters as a tuple, built from the packed form at each read
+        and not kept: a caller that reads them twice keeps its own copy."""
         return _unpack(*self._packed)
 
     def text(self) -> str:
@@ -159,12 +154,6 @@ def _unpack(width: int, packed) -> tuple[int, ...]:
     """The letters of a word packed at width bytes each, as a tuple."""
     if width == 1:
         return tuple(packed)
-    if width == 2:
-        if sys.byteorder == "little":  # a memoryview reads native order
-            swapped = bytearray(len(packed))
-            swapped[0::2], swapped[1::2] = packed[1::2], packed[0::2]
-            packed = swapped
-        return tuple(memoryview(packed).cast("H"))
     return tuple([int.from_bytes(packed[i:i + width], "big")
                   for i in range(0, len(packed), width)])
 

@@ -222,8 +222,8 @@ class TestWordIsItsPackedBytes:
             word.text()
             assert word[5] == word[:10][5]
             assert not holds_letter_tuple(word)
-            assert word.letters == tuple(word)  # built on first read, then kept
-            assert vars(word)["letters"] is word.letters
+            assert word.letters == tuple(word)  # built when read, and not kept
+            assert not holds_letter_tuple(word)
 
     def test_million_letter_text_peaks_below_six_megabytes(self):
         thue_stream().prefix(10).text()  # the stream's power images, built once per process
