@@ -129,15 +129,14 @@ def cmd_check(args) -> int:
         rev = Word((b, a), w.alphabet_size).text()
         print(f"pair {pair} at position {p} conflicts with earlier {rev}")
         return 1
-    if args.predicate == "reduced":
-        w = Word.from_text(_word_argument(args), alphabet_size=4)
-        hit = find_reduction_violation(w)
-        if hit is None:
-            return 0
-        p, (a, b) = hit
-        print(f"forbidden factor {Word((a, b), 4).text()} at position {p}")
-        return 1
-    raise ValueError(f"unknown predicate {args.predicate!r}")
+    # "reduced": argparse's choices admit no other predicate
+    w = Word.from_text(_word_argument(args), alphabet_size=4)
+    hit = find_reduction_violation(w)
+    if hit is None:
+        return 0
+    p, (a, b) = hit
+    print(f"forbidden factor {Word((a, b), 4).text()} at position {p}")
+    return 1
 
 
 def cmd_classify(args) -> int:
@@ -161,22 +160,21 @@ def cmd_search(args) -> int:
         res = search_mod.longest_square_free_tournament(args.alphabet, cap)
         print(res.render())
         return 0
-    if args.kind == "gamma-lower":
-        if not args.graph:
-            raise ValueError("gamma-lower needs --graph")
-        if args.colours is None:
-            raise ValueError("gamma-lower needs --colours")
-        cap = args.cap if args.cap is not None else 100
-        g = _load_graph(args.graph)
-        limit = MAX_GAMMA_LOWER_CLASSES
-        if search_mod.colouring_class_count(g.vertex_count, args.colours, limit) > limit:
-            raise ValueError(
-                f"gamma-lower on {g.vertex_count} vertices with {args.colours} colours "
-                f"would sweep more than {limit} colouring classes")
-        report = search_mod.verify_gamma_lower_bound(g, args.colours, cap)
-        print(report.render())
-        return 0
-    raise ValueError(f"unknown search kind {args.kind!r}")
+    # "gamma-lower": argparse's choices admit no other kind
+    if not args.graph:
+        raise ValueError("gamma-lower needs --graph")
+    if args.colours is None:
+        raise ValueError("gamma-lower needs --colours")
+    cap = args.cap if args.cap is not None else 100
+    g = _load_graph(args.graph)
+    limit = MAX_GAMMA_LOWER_CLASSES
+    if search_mod.colouring_class_count(g.vertex_count, args.colours, limit) > limit:
+        raise ValueError(
+            f"gamma-lower on {g.vertex_count} vertices with {args.colours} colours "
+            f"would sweep more than {limit} colouring classes")
+    report = search_mod.verify_gamma_lower_bound(g, args.colours, cap)
+    print(report.render())
+    return 0
 
 
 def cmd_morphism(args) -> int:
@@ -200,17 +198,16 @@ def cmd_morphism(args) -> int:
             print("fail")
             print(f"counterexample={hit.text()}")
         return 0
-    if args.action == "align":
-        if not args.letters:
-            raise ValueError("morphism align needs --letters")
-        try:
-            letters = [int(part) for part in args.letters.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed letter list {args.letters!r}") from None
-        ok = alignment_test(m, letters)
-        print("true" if ok else "false")
-        return 0
-    raise ValueError(f"unknown morphism action {args.action!r}")
+    # "align": argparse's choices admit no other action
+    if not args.letters:
+        raise ValueError("morphism align needs --letters")
+    try:
+        letters = [int(part) for part in args.letters.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed letter list {args.letters!r}") from None
+    ok = alignment_test(m, letters)
+    print("true" if ok else "false")
+    return 0
 
 
 @functools.cache  # one parser per process: building it costs more than most commands

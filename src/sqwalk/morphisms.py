@@ -200,7 +200,7 @@ class InfiniteWordStream:
         if len(s) > n:
             s = s[:n]
         try:  # code points below 256: latin-1 is one byte each
-            return Word.from_bytes(s.encode("latin-1"), self.alphabet_size)
+            return Word(s.encode("latin-1"), self.alphabet_size)
         except UnicodeEncodeError:  # a letter past 255
             return Word(tuple(map(ord, s)), self.alphabet_size)
 

@@ -24,14 +24,14 @@ class Word:
     A Word keeps its letters only in packed form, _packed = (width, bytes):
     width bytes per letter, big-endian, width the least that holds its
     largest letter (one byte when every letter is below 256), which is the
-    format find_square and the pair checks read.  len, iteration, indexing
-    (a slice gives a tuple), text(), == and hash read that form: two words
-    are equal when their alphabet sizes, widths and bytes are, so equal
-    letter sequences give equal words with equal hashes.  letters, the
-    tuple, is built only when it is read, and the word does not keep it, so
-    a word holds only its packed bytes for as long as it lives.  Letters
-    that are not all ints cannot be packed: such a word keeps their tuple
-    in place of the bytes, and text() and the checks raise TypeError on it.
+    format find_square and the pair checks read.  A bytes object passed as
+    the letters is that form for one byte a letter and is kept as it is.
+    len, iteration, indexing (a slice gives a tuple), text(), == and hash
+    read the packed form: two words are equal when their alphabet sizes,
+    widths and bytes are, so equal letter sequences give equal words with
+    equal hashes.  letters, the tuple, is built only when it is read, and
+    the word does not keep it.  A letter or an alphabet size that is not an
+    int raises TypeError.
     """
 
     alphabet_size: int
@@ -40,31 +40,29 @@ class Word:
     def __init__(self, letters: Iterable[int], alphabet_size: int):
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
-        if not isinstance(letters, (tuple, list)):
-            letters = tuple(letters)  # read an iterator, a range or bytes once
-        # Every letter in the alphabet iff deleting the alphabet's bytes
-        # leaves nothing; those bytes are then the packed word.  The loop
-        # below decides every other case and names the first bad letter.
+        alphabet = _BYTES[:alphabet_size]  # TypeError unless alphabet_size is an int
+        if not isinstance(letters, (bytes, tuple, list)):
+            letters = tuple(letters)  # read an iterator or a range once
         try:
             packed = bytes(letters)
-            if not packed.translate(None, _BYTES[:alphabet_size]):
-                self._set(alphabet_size, 1, packed)
-                return
         except (TypeError, ValueError):  # a letter past 255, negative or not an int
-            pass
-        for a in letters:
-            if not 0 <= a < alphabet_size:
-                raise ValueError(
-                    f"letter {a} outside alphabet of size {alphabet_size}")
-        try:
-            self._set(alphabet_size, *_pack(letters))
-        except TypeError:  # a letter that is not an int
-            self._set(alphabet_size, 1, tuple(letters))
+            for a in letters:
+                if not 0 <= a < alphabet_size:
+                    raise ValueError(
+                        f"letter {a} outside alphabet of size {alphabet_size}") from None
+            self._set(alphabet_size, *_pack(letters))  # TypeError on a letter that is not an int
+            return
+        # Deleting the alphabet's bytes keeps order: the first byte left is
+        # the first letter outside the alphabet.
+        bad = packed.translate(None, alphabet)
+        if bad:
+            a = letters[packed.index(bad[0])]
+            raise ValueError(f"letter {a} outside alphabet of size {alphabet_size}")
+        self._set(alphabet_size, 1, packed)
 
-    def _set(self, alphabet_size: int, width: int, packed) -> "Word":
+    def _set(self, alphabet_size: int, width: int, packed: bytes) -> None:
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "_packed", (width, packed))
-        return self
 
     @classmethod
     def from_letters(cls, letters: Iterable[int], alphabet_size: Optional[int] = None) -> "Word":
@@ -75,33 +73,25 @@ class Word:
         return cls(ls, alphabet_size)
 
     @classmethod
-    def from_bytes(cls, packed: bytes, alphabet_size: int) -> "Word":
-        """The word whose letters are the bytes of packed, kept as its packed
-        form: the letters are checked with one bytes.translate, and no
-        tuple of them is built."""
-        if alphabet_size < 1 or packed.translate(None, _BYTES[:alphabet_size]):
-            return cls(tuple(packed), alphabet_size)  # raises, naming the fault
-        return cls.__new__(cls)._set(alphabet_size, 1, bytes(packed))
-
-    @classmethod
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
         """Parse a word from text.
 
         Two formats: a run of ASCII digits ("012021"), or comma-separated
-        decimal integers ("0,1,11,3") for alphabets past size 10.  The comma
-        format is detected by the presence of a comma.
+        decimal integers ("0,1,11,3") for alphabets past size 10.  Given an
+        alphabet past size 10, the text is in the comma format, so "12" is
+        one letter; otherwise a comma decides.
         """
         text = text.strip()
         if not text:
             return cls.from_letters((), alphabet_size)
-        if "," not in text:
+        if "," not in text and (alphabet_size is None or alphabet_size <= 10):
             digits = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
             if digits.translate(None, b"0123456789"):
                 raise ValueError(f"malformed word {text!r}")
             ls = digits.translate(_UNDIGITS)
             if alphabet_size is None:  # one more than the largest digit present
                 alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
-            return cls.from_bytes(ls, alphabet_size)
+            return cls(ls, alphabet_size)
         try:
             ls = tuple(int(part) for part in text.split(","))
         except ValueError:
@@ -118,9 +108,9 @@ class Word:
 
     def text(self) -> str:
         """Render: digit string for alphabets up to 10, comma-separated beyond."""
-        if self.alphabet_size <= 10:
-            return _packing(self)[1].translate(_DIGITS).decode()
         width, packed = self._packed
+        if self.alphabet_size <= 10:
+            return packed.translate(_DIGITS).decode()
         return ",".join(map(str, self) if width > 1 else map(_NAMES.__getitem__, packed))
 
     def append(self, letter: int) -> "Word":
@@ -161,11 +151,7 @@ def _unpack(width: int, packed) -> tuple[int, ...]:
 def _packing(w) -> tuple[int, bytes]:
     """(width, bytes) of w: a Word's own packed form, a letter sequence packed
     here.  TypeError on a letter that is not an int."""
-    if isinstance(w, Word):
-        if type(w._packed[1]) is bytes:
-            return w._packed
-        w = w._packed[1]  # letters that could not be packed: _pack raises
-    return _pack(w)
+    return w._packed if isinstance(w, Word) else _pack(w)
 
 
 def _word_args(w):
@@ -471,7 +457,7 @@ def _first_pairs(w) -> dict[tuple[int, int], int]:
     _pairs_by_scan.
     """
     if isinstance(w, Word) and w.alphabet_size <= _PAIR_ALPHABET:
-        packed = _packing(w)[1]  # raises TypeError on a letter that is not an int
+        packed = w._packed[1]
         if len(packed) > w.alphabet_size ** 2:
             return _pairs_by_code(packed, w.alphabet_size)
     return _pairs_by_scan(_word_args(w))

@@ -87,9 +87,10 @@ class TestWordType:
 
 
 class TestWordValidation:
-    """Letters below 256, in a tuple or a list, are checked by deleting the
-    alphabet's bytes; any others by the letter-by-letter loop, which names
-    the first bad letter.  Both give the same verdicts and messages."""
+    """Letters below 256, in bytes, a tuple or a list, are checked by
+    deleting the alphabet's bytes; any others by the letter-by-letter loop.
+    Both name the first bad letter and give the same verdicts and messages.
+    A letter or an alphabet size that is not an int is a TypeError."""
 
     @pytest.mark.parametrize("letter,size,message", [
         (-1, 3, "letter -1 outside alphabet of size 3"),
@@ -104,9 +105,11 @@ class TestWordValidation:
         (255, 256, None),
         (256, 257, None),
         (2**40, 2**40 + 1, None),
-        (1.5, 3, None),
         (True, 2, None),
-        (0, 3.0, None),
+        (1.5, 3, TypeError),
+        ("a", 3, TypeError),
+        (None, 3, TypeError),
+        (0, 3.0, TypeError),
     ])
     @pytest.mark.parametrize("container", [tuple, list])
     def test_verdict_and_message(self, letter, size, message, container):
@@ -114,6 +117,9 @@ class TestWordValidation:
             if message is None:
                 # letters is a tuple whatever the container
                 assert Word(container(letters), size).letters == tuple(letters)
+            elif message is TypeError:  # a letter or an alphabet size that is not an int
+                with pytest.raises(TypeError):
+                    Word(container(letters), size)
             else:
                 with pytest.raises(ValueError) as exc:
                     Word(container(letters), size)
@@ -123,18 +129,33 @@ class TestWordValidation:
         (b"\x00\x02\x01", 3), (b"", 1), (bytes(range(256)), 256), (bytes(range(256)), 300),
         (b"\x00\x07\xff\x03", 3), (b"", 0), (b"\x01", 0)])
     def test_from_bytes_is_the_constructor(self, packed, size):
-        # the same word, packed form and error message as Word(tuple(packed), size)
+        # Word(bytes, n) takes the bytes as its packed form: the same word,
+        # packed form and error message as Word(tuple(packed), size)
         try:
             expected = Word(tuple(packed), size)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                Word.from_bytes(packed, size)
+                Word(packed, size)
             assert str(got.value) == str(exc)
             return
-        word = Word.from_bytes(packed, size)
+        word = Word(packed, size)
         assert word == expected and hash(word) == hash(expected)
         assert repr(word) == repr(expected)
         assert word._packed == expected._packed == (1, packed)
+        assert word._packed[1] is packed  # kept as it is, not copied
+
+    def test_text_reads_back(self):
+        # every one-letter word, "12" over 13 letters included, and random words
+        for n in range(1, 302):
+            for a in range(n):
+                word = Word((a,), n)
+                assert Word.from_text(word.text(), n) == word
+        rng = random.Random(24)
+        for n in (1, 10, 11, 13, 256, 257, 300):
+            for length in (0, 1, 2, 3, 50):
+                for _ in range(20):
+                    word = Word([rng.randrange(n) for _ in range(length)], n)
+                    assert Word.from_text(word.text(), n) == word
 
     def test_first_bad_letter_is_named(self):
         with pytest.raises(ValueError, match="^letter 7 outside"):
@@ -155,10 +176,9 @@ class TestWordIsItsPackedBytes:
         """(how, word) for every constructor that takes these letters."""
         yield "tuple", Word(letters, size)
         if all(a < 256 for a in letters):
-            yield "from_bytes", Word.from_bytes(bytes(letters), size)
-        if len(letters) != 1 or letters[0] < 10:  # "12" alone reads as two digits
-            sep = "" if size <= 10 else ","
-            yield "from_text", Word.from_text(sep.join(map(str, letters)), size)
+            yield "bytes", Word(bytes(letters), size)
+        sep = "" if size <= 10 else ","
+        yield "from_text", Word.from_text(sep.join(map(str, letters)), size)
         coded = "".join(map(chr, letters))
         half = len(coded) // 2
         stream = InfiniteWordStream(size, lambda _: iter([coded[:half], coded[half:]]))
@@ -772,7 +792,7 @@ class TestPairPredicatesAgainstReference:
                 word = Word(letters, k)
                 by_code = words._pairs_by_code(word._packed[1], k)
                 assert by_code == words._pairs_by_scan(letters) == words._first_pairs(word)
-        # a letter that is not an int is a TypeError on both sides
+        # a letter that is not an int is a TypeError when the word is built
         for length in (2, k * k + 2):
             with pytest.raises(TypeError):
                 find_tournament_conflict(Word((1.0,) + (0,) * (length - 1), max(k, 2)))
