@@ -156,12 +156,6 @@ def _edge_lines(text: str) -> tuple[int, list[int]]:
     return n, nums
 
 
-def render_graph(g: Graph) -> str:
-    lines = [f"n={g.vertex_count}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
-    return "\n".join(lines)
-
-
 def path_graph(n: int) -> Graph:
     """The path 0-1-...-(n-1)."""
     if n < 1:

@@ -188,29 +188,28 @@ def colouring_class_count(n: int, k: int, limit: int) -> int:
     return sum(row)
 
 
-def _quotient(adjacency, colours):
-    """The quotient of a coloured graph that has the same colour words.
+def _quotient(colours, adjacency):
+    """The quotient of a coloured component that has the same colour words.
 
-    A monochromatic edge is dropped: it would give a square cc.  Then the
-    colour classes are split, round by round, until the vertices of each
-    class see the same set of classes.  Returns the graph on the classes
-    and each class's colour."""
+    The component comes as _coloured_components yields it, so it has no
+    monochromatic edge.  Its colour classes are split, round by round, until
+    the vertices of each class see the same set of classes.  Returns the
+    quotient in the same form: each class's colour and its sorted neighbour
+    classes, the classes numbered in order of their first vertex."""
     n = len(colours)
-    nbrs = [[w for w in adjacency[v] if colours[w] != colours[v]] for v in range(n)]
     block, count = colours, len(set(colours))
     while True:
         sigs: dict = {}
-        new = [sigs.setdefault((block[v], frozenset([block[w] for w in nbrs[v]])), len(sigs))
+        new = [sigs.setdefault((block[v], frozenset([block[w] for w in adjacency[v]])), len(sigs))
                for v in range(n)]
         if len(sigs) == count:
             break
         block, count = new, len(sigs)
-    colour = [0] * count
-    for v in range(n):
-        colour[new[v]] = colours[v]
-    # each class edge once, from its lower class: the build merges no repeats
-    edges = {(new[v], new[w]) for v in range(n) for w in nbrs[v] if new[v] < new[w]}
-    return Graph(count, edges), colour
+    # one vertex of each class, in class order: every vertex of a class sees
+    # the same classes, so any one gives the class's neighbours
+    members = dict(zip(new, range(n))).values()
+    return (tuple([colours[v] for v in members]),
+            tuple([tuple(sorted({new[w] for w in adjacency[v]})) for v in members]))
 
 
 # Branch nodes a canonical key may spend before it settles for the best key
@@ -218,9 +217,9 @@ def _quotient(adjacency, colours):
 _KEY_BUDGET = 2000
 
 
-def _canonical_key(adjacency, colour, component):
-    """A key of the coloured connected graph on component that is equal for
-    two components exactly when they are isomorphic up to renaming colours.
+def _canonical_key(colour, adjacency):
+    """A key of a connected coloured graph that is equal for two graphs
+    exactly when they are isomorphic up to renaming colours.
 
     Vertices are placed in a greedy BFS order.  A vertex's entry is (its
     first placed neighbour, its colour renamed by first use, the sorted
@@ -229,14 +228,12 @@ def _canonical_key(adjacency, colour, component):
     sequence over the vertices of least (degree, colour-class size) as
     starts; a branch whose prefix already exceeds the best is cut.  Past
     _KEY_BUDGET branch nodes the best sequence so far is returned: it still
-    describes the component exactly, so it is a safe key, only not shared
-    with every isomorphic component."""
-    size = len(component)
-    if size == 1:
-        return ((-1, 0, ()),)
-    class_size = Counter(colour[v] for v in component)
-    rank = {v: (len(adjacency[v]), class_size[colour[v]]) for v in component}
-    low = min(rank.values())
+    describes the graph exactly, so it is a safe key, only not shared with
+    every isomorphic graph."""
+    size = len(colour)
+    class_size = Counter(colour)
+    rank = [(len(ns), class_size[c]) for c, ns in zip(colour, adjacency)]
+    low = min(rank)
     place: dict[int, int] = {}
     rename: dict[int, int] = {}
     key: list = []
@@ -278,8 +275,8 @@ def _canonical_key(adjacency, colour, component):
             if entry == least:
                 visit(w, least)
 
-    for v in component:
-        if rank[v] == low:
+    for v, r in enumerate(rank):
+        if r == low:
             visit(v, (-1, 0, ()))
     return tuple(best)
 
@@ -328,19 +325,18 @@ def _coloured_components(adjacency, images):
 def _solve(component, cap: int, solved: dict, searched: dict) -> tuple[str, int]:
     """(outcome, length) of a component key that solved does not hold.
 
-    Its quotient, in the quotient's own indices, is a coloured graph with the
-    same walks, so it is looked up in solved as well, then by its canonical
-    key in searched; only a quotient new up to isomorphism is searched."""
-    colours, adjacency = component
-    quotient, colour = _quotient(adjacency, colours)
-    labelled = (tuple(colour), quotient.adjacency)
-    found = solved.get(labelled)
+    Its quotient, in the same (colours, adjacency) form, is a coloured graph
+    with the same walks, so it is looked up in solved as well, then by its
+    canonical key in searched; only a quotient new up to isomorphism is
+    searched."""
+    quotient = _quotient(*component)
+    found = solved.get(quotient)
     if found is None:
-        key = _canonical_key(quotient.adjacency, colour, range(quotient.vertex_count))
+        key = _canonical_key(*quotient)
         found = searched.get(key)
         if found is None:
             found = searched[key] = _search_key(key, cap)
-        solved[labelled] = found
+        solved[quotient] = found
     return found
 
 
@@ -352,9 +348,10 @@ def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundRepor
     colours).  A walk never takes a monochromatic edge and stays in one
     component of what is left, so each colouring's result is the best over
     those components, and each distinct component (_coloured_components) is
-    solved once.  A new one is reduced to its quotient (see _quotient), whose
-    walks have the same colour words, and each distinct quotient, up to
-    isomorphism and colour renaming, is searched once.  Refinement never lets
+    solved once.  A new one is reduced to its quotient (see _quotient), a
+    (colours, adjacency) pair like it whose walks have the same colour words,
+    and each distinct quotient, up to isomorphism and colour renaming, is
+    searched once.  Refinement never lets
     a vertex's class depend on another component, so a component has the
     quotient it would have inside the whole graph.  Verdict True means every
     class exhausted below the cap.
@@ -363,7 +360,7 @@ def verify_gamma_lower_bound(g: Graph, k: int, cap: int) -> GammaLowerBoundRepor
         raise ValueError("k must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    solved: dict[tuple, tuple[str, int]] = {}  # coloured graph key -> (outcome, length)
+    solved: dict[tuple, tuple[str, int]] = {}  # (colours, adjacency) -> (outcome, length)
     searched: dict[tuple, tuple[str, int]] = {}  # canonical key -> (outcome, length)
     entries = []
     verdict = True

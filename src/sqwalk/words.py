@@ -77,9 +77,9 @@ class Word:
         """Parse a word from text.
 
         Two formats: a run of ASCII digits ("012021"), or comma-separated
-        decimal integers ("0,1,11,3") for alphabets past size 10.  Given an
-        alphabet past size 10, the text is in the comma format, so "12" is
-        one letter; otherwise a comma decides.
+        runs of ASCII digits ("0,1,11,3") for alphabets past size 10.
+        Given an alphabet past size 10, the text is in the comma format, so
+        "12" is one letter; otherwise a comma decides.
         """
         text = text.strip()
         if not text:
@@ -92,13 +92,10 @@ class Word:
             if alphabet_size is None:  # one more than the largest digit present
                 alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
             return cls(ls, alphabet_size)
-        try:
-            ls = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed word {text!r}") from None
-        if any(a < 0 for a in ls):
-            raise ValueError(f"negative letter in {text!r}")
-        return cls.from_letters(ls, alphabet_size)
+        parts = text.split(",")
+        if not (text.isascii() and all(map(str.isdigit, parts))):
+            raise ValueError(f"malformed word {text!r}")
+        return cls.from_letters(tuple(map(int, parts)), alphabet_size)
 
     @property
     def letters(self) -> tuple[int, ...]:

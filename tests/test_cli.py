@@ -167,6 +167,15 @@ class TestCheck:
         code, out, err = run(capsys, "check", "square-free", word)
         assert (code, out, err) == (2, "", f"error: malformed word {word!r}\n")
 
+    @pytest.mark.parametrize("word", ["\u0661\u0665", "+15", "1_5", "1, 5"])
+    def test_a_letter_is_ascii_digits_on_a_large_graph(self, capsys, tmp_path, word):
+        # on a 20-cycle a word with no comma is one letter, still ASCII digits only
+        path = tmp_path / "c20.txt"
+        path.write_text("n=20\n" + "".join(f"{v} {(v + 1) % 20}\n" for v in range(20)))
+        code, out, err = run(capsys, "check", "g-word", "--graph", str(path), word)
+        assert (code, out, err) == (2, "", f"error: malformed word {word!r}\n")
+        assert run(capsys, "check", "g-word", "--graph", str(path), "15") == (0, "", "")
+
     def test_word_too_large_for_graph(self, capsys):
         code, _, err = run(capsys, "check", "g-word", "05", "--graph", "p4")
         assert code == 2

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from sqwalk.graphs import (MAX_VERTICES, Graph, claw_graph, components,
                            cycle_graph, find_c4, find_claw, find_p5,
                            find_triangle, induced_subgraph, parse_graph,
-                           path_graph, render_graph)
+                           path_graph)
+
+def render_graph(g):
+    """The edge-list text of g that parse_graph reads back."""
+    lines = [f"n={g.vertex_count}"]
+    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
+    return "\n".join(lines)
+
 
 # fixed patterns for the injection oracle
 _PATTERNS = {

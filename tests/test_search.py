@@ -8,10 +8,11 @@ import tracemalloc
 import pytest
 
 from sqwalk import search, words
-from sqwalk.graphs import Graph, claw_graph, components, cycle_graph, path_graph
+from sqwalk.graphs import Graph, claw_graph, cycle_graph, path_graph
 from sqwalk.morphisms import Colouring, apply
 from sqwalk.search import (SearchResult, _canonical_colourings,
-                           _canonical_key, _quotient, colouring_class_count,
+                           _canonical_key, _coloured_components, _quotient,
+                           colouring_class_count,
                            longest_square_free_tournament,
                            longest_square_free_walk, max_coloured_walk,
                            verify_gamma_lower_bound)
@@ -329,16 +330,22 @@ def paths_and_cycles():
                 yield adjacency, list(colour)
 
 
+def quotients(g, images):
+    """Each quotient of a component of g under the colouring images."""
+    for component in _coloured_components(g.adjacency, images):
+        yield _quotient(*component)
+
+
 class TestCanonicalKey:
     def test_exact_on_coloured_paths_and_cycles(self):
         """Equal keys exactly when the brute-force forms are equal."""
         keys, forms = {}, {}
         for adjacency, colour in paths_and_cycles():
-            key = _canonical_key(adjacency, colour, list(range(len(colour))))
+            key = _canonical_key(colour, adjacency)
             form = brute_force_form(adjacency, colour)
             assert keys.setdefault(key, form) == form
             assert forms.setdefault(form, key) == key
-            # the key describes the component it came from
+            # the key describes the graph it came from
             assert brute_force_form(*decode(key)) == form
         assert len(keys) == len(forms) > 100
 
@@ -347,20 +354,19 @@ class TestCanonicalKey:
         sizes = set()
         for g in gamma_graphs():
             images = tuple(rng.randrange(3) for _ in range(g.vertex_count))
-            quotient, colour = _quotient(g.adjacency, images)
-            n = quotient.vertex_count
-            for component in components(quotient):
-                key = _canonical_key(quotient.adjacency, colour, component.vertices)
-                sizes.add(len(key))
+            for colour, adjacency in quotients(g, images):
+                key = _canonical_key(colour, adjacency)
+                n = len(key)
+                sizes.add(n)
                 for _ in range(5):
                     sigma = rng.sample(range(n), n)
                     tau = rng.sample(range(3), 3)
-                    moved = Graph(n, [(sigma[v], sigma[w]) for v, w in quotient.edges])
+                    moved = [()] * n
                     recoloured = [0] * n
                     for v in range(n):
+                        moved[sigma[v]] = tuple(sorted(sigma[w] for w in adjacency[v]))
                         recoloured[sigma[v]] = tau[colour[v]]
-                    order = rng.sample([sigma[v] for v in component.vertices], len(key))
-                    assert _canonical_key(moved.adjacency, recoloured, order) == key
+                    assert _canonical_key(recoloured, moved) == key
         assert max(sizes) >= 5
 
     def test_a_spent_budget_still_describes_the_component(self, monkeypatch):
@@ -369,8 +375,38 @@ class TestCanonicalKey:
         n = 6
         adjacency = [set(range(n)) - {v} for v in range(n)]
         colour = list(range(n))
-        key = _canonical_key(adjacency, colour, list(range(n)))
+        key = _canonical_key(colour, adjacency)
         assert brute_force_form(*decode(key)) == brute_force_form(adjacency, colour)
+
+
+class TestQuotient:
+    def test_a_quotient_is_its_own_quotient(self):
+        # a quotient is already stable, so refining it again numbers every
+        # class as before
+        rng = random.Random(25)
+        seen = 0
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+            images = tuple(rng.randrange(rng.randint(1, 4)) for _ in range(n))
+            for q in quotients(g, images):
+                assert _quotient(*q) == q
+                seen += len(q[0]) > 2
+        assert seen > 500
+
+    # the searches each sweep runs: at most one per quotient new up to
+    # isomorphism, so a weaker memo or key reads more
+    @pytest.mark.parametrize("g,verdict,searches", [
+        (cycle_graph(4), True, 4), (claw_graph(), True, 3), (cycle_graph(5), False, 6),
+        (cycle_graph(6), False, 10), (cycle_graph(7), False, 19), (cycle_graph(8), False, 36),
+        (double_star(4, 4), True, 8)], ids=["c4", "claw", "c5", "c6", "c7", "c8", "s44"])
+    def test_searches_per_sweep(self, monkeypatch, g, verdict, searches):
+        calls = []
+        searcher = search.max_coloured_walk
+        monkeypatch.setattr(search, "max_coloured_walk",
+                            lambda *args: calls.append(args) or searcher(*args))
+        assert verify_gamma_lower_bound(g, 3, 100).verdict == verdict
+        assert len(calls) == searches
 
 
 def reference_search(n, cap, allowed, colour, tournament=False):

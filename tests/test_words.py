@@ -71,6 +71,17 @@ class TestWordType:
             Word.from_text(text)
         assert str(exc.value) == f"malformed word {text!r}"
 
+    @pytest.mark.parametrize("text,size", [
+        ("\u0661\u0665", 20), ("1_5", 20), ("+15", 20), ("-1", 20), ("1 5", 20),
+        ("\u0661,\u0662", None), ("1,+5", None), ("1,1_5", None), ("1, 5", None),
+        ("1 ,5", 20), ("-1,2", None), ("1,,2", None), (",1", None), ("1,", 20)])
+    def test_comma_format_takes_ascii_digits_only(self, text, size):
+        # each comma-separated letter, and a one-letter word over more than
+        # 10 letters, is a non-empty run of ASCII digits, as in the digit format
+        with pytest.raises(ValueError) as exc:
+            Word.from_text(text, size)
+        assert str(exc.value) == f"malformed word {text!r}"
+
     def test_million_letter_round_trip(self):
         word = thue_stream().prefix(1_000_000)
         text = word.text()
