@@ -7,13 +7,13 @@ exhaustive searches for the extremal finite cases.
 """
 
 from .words import (Word, brute_force_square_check, extends_square_free,
-                    find_square, has_factor, is_reduced_free_group_word,
-                    is_square_free, is_tournament_word)
+                    find_square, is_reduced_free_group_word, is_square_free,
+                    is_tournament_word)
 from .morphisms import (ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
                         Colouring, InfiniteWordStream, Morphism,
-                        alignment_test, apply, compose_colouring,
-                        crochemore_uniform_test, fixed_point_stream,
-                        image_stream, parse_morphism, preservation_test)
+                        alignment_test, apply, crochemore_uniform_test,
+                        fixed_point_stream, image_stream, parse_morphism,
+                        preservation_test)
 from .graphs import (Graph, claw_graph, components, cycle_graph, parse_graph,
                      path_graph)
 from .walks import (Classification, c4_walk_uniform_stream, classify,

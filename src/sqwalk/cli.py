@@ -201,11 +201,7 @@ def cmd_morphism(args) -> int:
     # "align": argparse's choices admit no other action
     if not args.letters:
         raise ValueError("morphism align needs --letters")
-    try:
-        letters = [int(part) for part in args.letters.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed letter list {args.letters!r}") from None
-    ok = alignment_test(m, letters)
+    ok = alignment_test(m, Word.from_text(args.letters, m.source_alphabet_size))
     print("true" if ok else "false")
     return 0
 

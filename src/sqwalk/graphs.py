@@ -52,9 +52,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.vertex_count == other.vertex_count

@@ -38,40 +38,24 @@ class Morphism:
         # not cls(...): a Colouring's constructor takes one colour per letter
         return Morphism(len(imgs), target_alphabet_size, imgs)
 
-    @classmethod
-    def identity(cls, n: int) -> "Morphism":
-        return cls(n, n, tuple((a,) for a in range(n)))
-
-    def image(self, a: int) -> tuple[int, ...]:
-        if not 0 <= a < self.source_alphabet_size:
-            raise ValueError(f"letter {a} outside source alphabet")
-        return self.images[a]
-
-    def is_uniform(self) -> bool:
-        return len({len(img) for img in self.images}) == 1
-
-    def text(self) -> str:
-        """One "i -> image" line per source letter."""
-        lines = []
-        for a, img in enumerate(self.images):
-            lines.append(f"{a} -> {Word(img, self.target_alphabet_size).text()}")
-        return "\n".join(lines)
-
 
 def parse_morphism(text: str) -> Morphism:
-    """Parse the "i -> image" line format, one line per source letter in order."""
+    """Parse the "i -> image" line format, one line per source letter in order.
+
+    i is a run of ASCII digits and the image a word in Word.from_text's
+    grammar; blank lines and lines starting with "#" are skipped."""
     images = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            left, right = line.split("->")
-        except ValueError:
-            raise ValueError(f"malformed morphism line {line!r}") from None
-        if int(left.strip()) != len(images):
+        left, *right = line.split("->")
+        left = left.strip()
+        if len(right) != 1 or not (left.isascii() and left.isdigit()):
+            raise ValueError(f"malformed morphism line {line!r}")
+        if int(left) != len(images):
             raise ValueError(f"source letters must appear in order, got line {line!r}")
-        images.append(Word.from_text(right.strip()).letters)
+        images.append(Word.from_text(right[0]).letters)
     if not images:
         raise ValueError("empty morphism definition")
     return Morphism.from_images(images)
@@ -93,23 +77,10 @@ class Colouring(Morphism):
         super().__init__(source_alphabet_size, target_alphabet_size,
                          tuple((x,) for x in colours))
 
-    @classmethod
-    def identity(cls, n: int) -> "Colouring":
-        return cls(n, n, range(n))
-
     @property
     def colours(self) -> tuple[int, ...]:
         """The colour of each source letter, in order."""
         return tuple(img[0] for img in self.images)
-
-
-def compose_colouring(phi: Colouring, m: Morphism) -> Morphism:
-    """The morphism sending each letter a to phi applied letterwise to m(a)."""
-    if phi.source_alphabet_size < m.target_alphabet_size:
-        raise ValueError("colouring not defined on the morphism's target alphabet")
-    colours = phi.colours
-    images = tuple(tuple(colours[x] for x in img) for img in m.images)
-    return Morphism(m.source_alphabet_size, phi.target_alphabet_size, images)
 
 
 # A stream produces blocks of about _BLOCK letters: a fixed point or an image
@@ -286,7 +257,7 @@ def crochemore_uniform_test(m: Morphism) -> bool:
     target alphabets may differ.  Non-uniform input is an error, not a False
     verdict.
     """
-    if not m.is_uniform():
+    if len(set(map(len, m.images))) != 1:
         raise ValueError("crochemore_uniform_test requires a uniform morphism")
     n = m.source_alphabet_size
     # over one letter no word of length 3 is square-free: the only one is 0

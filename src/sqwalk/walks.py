@@ -225,7 +225,7 @@ def claw_walk_stream(g: Graph, hub: int) -> InfiniteWordStream:
     stream joins one image per 48 letters rather than per 2."""
     if not 0 <= hub < g.vertex_count:
         raise ValueError(f"hub {hub} outside vertex range")
-    ns = g.neighbours(hub)
+    ns = g.adjacency[hub]
     if len(ns) < 3:
         raise ValueError(f"hub {hub} has degree {len(ns)}, need at least 3")
     claw = tuple((t, hub) for t in ns[:3])

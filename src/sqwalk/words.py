@@ -65,37 +65,32 @@ class Word:
         object.__setattr__(self, "_packed", (width, packed))
 
     @classmethod
-    def from_letters(cls, letters: Iterable[int], alphabet_size: Optional[int] = None) -> "Word":
-        """Build a word, inferring the alphabet as max(letters)+1 when not given."""
-        ls = tuple(letters)
-        if alphabet_size is None:
-            alphabet_size = max(ls) + 1 if ls else 1
-        return cls(ls, alphabet_size)
-
-    @classmethod
     def from_text(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
         """Parse a word from text.
 
         Two formats: a run of ASCII digits ("012021"), or comma-separated
         runs of ASCII digits ("0,1,11,3") for alphabets past size 10.
         Given an alphabet past size 10, the text is in the comma format, so
-        "12" is one letter; otherwise a comma decides.
+        "12" is one letter; otherwise a comma decides.  Without an alphabet
+        size, the alphabet is one more than the largest letter (1 when the
+        text is empty).
         """
         text = text.strip()
-        if not text:
-            return cls.from_letters((), alphabet_size)
-        if "," not in text and (alphabet_size is None or alphabet_size <= 10):
+        if not text or "," not in text and (alphabet_size is None or alphabet_size <= 10):
             digits = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
             if digits.translate(None, b"0123456789"):
                 raise ValueError(f"malformed word {text!r}")
             ls = digits.translate(_UNDIGITS)
             if alphabet_size is None:  # one more than the largest digit present
-                alphabet_size = next(a for a in range(9, -1, -1) if a in ls) + 1
-            return cls(ls, alphabet_size)
-        parts = text.split(",")
-        if not (text.isascii() and all(map(str.isdigit, parts))):
-            raise ValueError(f"malformed word {text!r}")
-        return cls.from_letters(tuple(map(int, parts)), alphabet_size)
+                alphabet_size = next((a for a in range(9, -1, -1) if a in ls), 0) + 1
+        else:
+            parts = text.split(",")
+            if not (text.isascii() and all(map(str.isdigit, parts))):
+                raise ValueError(f"malformed word {text!r}")
+            ls = tuple(map(int, parts))
+            if alphabet_size is None:
+                alphabet_size = max(ls) + 1
+        return cls(ls, alphabet_size)
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -109,9 +104,6 @@ class Word:
         if self.alphabet_size <= 10:
             return packed.translate(_DIGITS).decode()
         return ",".join(map(str, self) if width > 1 else map(_NAMES.__getitem__, packed))
-
-    def append(self, letter: int) -> "Word":
-        return Word(self[:] + (letter,), self.alphabet_size)
 
     def __len__(self) -> int:
         width, packed = self._packed
@@ -420,24 +412,6 @@ def extends_square_free(w: Word, a: int) -> bool:
     if _letter_width(a) > width:
         return True  # a is larger than every letter of w, so no square ends at it
     return _suffix_check(width)((packed + a.to_bytes(width, "big"))[::-1])
-
-
-def has_factor(w: Word, f: Word) -> bool:
-    """True iff f occurs contiguously in w (the empty word always does)."""
-    fwidth, needle = _packing(f)
-    if not needle:
-        return True
-    width, text = _packing(w)
-    if fwidth > width:
-        return False  # f has a letter larger than every letter of w
-    if fwidth < width:
-        needle = b"".join(_letter_keys(_word_args(f), width))
-    k = text.find(needle)
-    while k != -1:
-        if k % width == 0:
-            return True
-        k = text.find(needle, k - k % width + width)  # next letter boundary
-    return False
 
 
 # Alphabets of at most _PAIR_ALPHABET letters code each 2-factor as one byte.

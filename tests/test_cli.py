@@ -395,11 +395,16 @@ class TestMorphism:
                            "--letters", "2")
         assert out == "false\n"
 
-    @pytest.mark.parametrize("letters", ["a", "0,,1", "0;1"])
+    def test_align_letters_in_digit_format(self, capsys):
+        # --letters is a word: 10 is the letters 1 and 0, as 1,0 is, not the letter 10
+        assert run(capsys, "morphism", "align", "alpha-p5", "--letters", "10") == (0, "true\n", "")
+        assert run(capsys, "morphism", "align", "alpha-p5", "--letters", "20") == (0, "false\n", "")
+
+    @pytest.mark.parametrize("letters", ["a", "0,,1", "0;1", "\u0661", "+1", "1_0"])
     def test_align_malformed_letters(self, capsys, letters):
         code, out, err = run(capsys, "morphism", "align", "alpha-p5", "--letters", letters)
         assert (code, out) == (2, "")
-        assert err == f"error: malformed letter list {letters!r}\n"
+        assert err == f"error: malformed word {letters!r}\n"
 
     def test_morphism_file(self, capsys, tmp_path):
         path = tmp_path / "m.morphism"
@@ -407,6 +412,17 @@ class TestMorphism:
         code, out, _ = run(capsys, "morphism", "apply", str(path), "--word", "0")
         assert code == 0
         assert out == "012\n"
+
+    @pytest.mark.parametrize("k,line", [(0, "a -> 01"), (0, "\u0660 -> 012"), (1, "+1 -> 02")])
+    def test_morphism_file_malformed_line(self, capsys, tmp_path, k, line):
+        # the source letter is a run of ASCII digits, as in a word
+        lines = ["0 -> 012", "1 -> 02", "2 -> 1"]
+        lines[k] = line
+        path = tmp_path / "m.morphism"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "morphism", "apply", str(path), "--word", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed morphism line {line!r}\n"
 
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "morphism", "crochemore", "zeta")

@@ -8,10 +8,9 @@ import pytest
 
 from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5,
                               TAU, Colouring, Morphism, alignment_test, apply,
-                              compose_colouring, crochemore_uniform_test,
-                              fixed_point_stream, image_stream, parse_morphism,
-                              preservation_test)
-from sqwalk.words import Word, brute_force_square_check, has_factor, is_square_free
+                              crochemore_uniform_test, fixed_point_stream,
+                              image_stream, parse_morphism, preservation_test)
+from sqwalk.words import Word, brute_force_square_check, is_square_free
 
 THUE_27 = "012021012102012021020121012"
 ALPHA_010_SQUARE = "2120102120210120"
@@ -22,6 +21,7 @@ LEECH = Morphism(3, 3, ((0, 1, 2, 1, 0, 2, 1, 2, 0, 1, 2, 1, 0),
                         (2, 0, 1, 0, 2, 1, 0, 1, 2, 0, 1, 0, 2)))
 # the claw walk's morphism: letter a to (leaf a + 1, hub 0), from A3 into A4
 CLAW = Morphism(3, 4, ((1, 0), (2, 0), (3, 0)))
+IDENTITY = Colouring(3, 3, range(3))
 
 
 # prefix lengths around the block size, for the block streams against their references
@@ -52,7 +52,7 @@ def reference_fixed_point(m, seed):
 def reference_image(m, letters):
     """The letter-at-a-time image generator, kept as the block streams' reference."""
     for a in letters:
-        yield from m.image(a)
+        yield from m.images[a]
 
 
 class TestMorphismType:
@@ -65,13 +65,10 @@ class TestMorphismType:
             Morphism(2, 2, ((0,), (2,)))     # letter outside target
 
     def test_identity(self):
-        ident = Morphism.identity(3)
-        assert apply(ident, w("0120")).text() == "0120"
+        assert apply(IDENTITY, w("0120")).text() == "0120"
 
     def test_text_round_trip(self):
-        text = TAU.text()
-        assert text == "0 -> 012\n1 -> 02\n2 -> 1"
-        assert parse_morphism(text) == TAU
+        assert parse_morphism("0 -> 012\n1 -> 02\n2 -> 1") == TAU
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -80,6 +77,24 @@ class TestMorphismType:
             parse_morphism("1 -> 012")  # out of order
         with pytest.raises(ValueError):
             parse_morphism("")
+
+    @pytest.mark.parametrize("text,line", [
+        ("a -> 01", "a -> 01"),
+        ("\u0660 -> 012", "\u0660 -> 012"),  # an Arabic-Indic zero
+        ("0 -> 012\n+1 -> 02", "+1 -> 02"),
+        ("0 -> 012\n1_0 -> 02", "1_0 -> 02"),
+        (" -> 012", "-> 012"),
+        ("0 -> 01 -> 2", "0 -> 01 -> 2"),
+    ], ids=["letter", "arabic-indic", "plus", "underscore", "empty", "two-arrows"])
+    def test_source_letter_is_ascii_digits(self, text, line):
+        with pytest.raises(ValueError) as exc:
+            parse_morphism(text)
+        assert str(exc.value) == f"malformed morphism line {line!r}"
+
+    def test_image_is_a_word(self):
+        assert parse_morphism("0 -> 0,1\n1 -> 1") == Morphism(2, 2, ((0, 1), (1,)))
+        with pytest.raises(ValueError, match="malformed word"):
+            parse_morphism("0 -> \u0661")
 
 
 class TestApply:
@@ -143,7 +158,7 @@ class TestImageStream:
 
     def test_identity_reproduces(self):
         thue = fixed_point_stream(TAU, 0)
-        mirrored = image_stream(Morphism.identity(3), fixed_point_stream(TAU, 0))
+        mirrored = image_stream(IDENTITY, fixed_point_stream(TAU, 0))
         assert mirrored.prefix(500) == thue.prefix(500)
 
     def test_tournament_image(self):
@@ -248,7 +263,7 @@ class TestCrochemore:
         assert crochemore_uniform_test(ALPHA_C4) is True
 
     def test_identity_passes(self):
-        assert crochemore_uniform_test(Morphism.identity(3)) is True
+        assert crochemore_uniform_test(IDENTITY) is True
 
     def test_square_producing_morphism_fails(self):
         m = Morphism.from_images([(0, 1), (1, 0), (0, 0)], 3)
@@ -283,7 +298,7 @@ class TestCrochemore:
 
     def test_consistency_with_bounded_preservation(self):
         # a positive certificate must agree with a short preservation sweep
-        for m in (ALPHA_C4, Morphism.identity(3), ALPHA_T5, CLAW):
+        for m in (ALPHA_C4, IDENTITY, ALPHA_T5, CLAW):
             assert crochemore_uniform_test(m) is True
             assert preservation_test(m, 8) is None
 
@@ -308,7 +323,7 @@ class TestPreservation:
         assert preservation_test(ALPHA_P5, 6, [w("010"), w("212")]) is None
 
     def test_identity_passes(self):
-        assert preservation_test(Morphism.identity(3), 6) is None
+        assert preservation_test(IDENTITY, 6) is None
 
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
@@ -380,7 +395,7 @@ def reference_preservation(m, max_len, forbidden):
     def first(word):
         for a in range(n):
             v = Word(word + (a,), n)
-            if not brute_force_square_check(v) or any(has_factor(v, f) for f in forbidden):
+            if not brute_force_square_check(v) or any(f.text() in v.text() for f in forbidden):
                 continue  # neither v nor any extension of it is swept
             if not brute_force_square_check(apply(m, v)):
                 return v.letters
@@ -424,7 +439,7 @@ class TestAlignment:
         assert alignment_test(ALPHA_C4, {0, 1, 2, 3}) is True
 
     def test_identity_alignment(self):
-        assert alignment_test(Morphism.identity(3), {0, 1, 2}) is True
+        assert alignment_test(IDENTITY, {0, 1, 2}) is True
 
     def test_occurrence_across_more_than_three_images(self):
         # m(1)m(0)m(1)m(0)m(0) = 12122 holds 2122 at position 1, inside m(0)
@@ -463,7 +478,7 @@ class TestColouring:
         assert isinstance(PHI_P5, Morphism)
         assert PHI_P5.images == ((1,), (0,), (2,), (1,), (0,))
         assert PHI_P5.colours == (1, 0, 2, 1, 0)
-        assert Colouring.identity(3).images == Morphism.identity(3).images
+        assert IDENTITY.images == ((0,), (1,), (2,))
 
     def test_tests_take_a_colouring_as_it_is(self):
         explicit = Morphism(5, 3, ((1,), (0,), (2,), (1,), (0,)))
@@ -474,12 +489,9 @@ class TestColouring:
                 assert alignment_test(PHI_P5, letters) == alignment_test(explicit, letters)
 
     def test_compose_reproduces_alpha(self):
-        assert compose_colouring(PHI_P5, BETA_P5) == ALPHA_P5
-
-    def test_compose_with_identity(self):
-        ident = Colouring.identity(5)
-        assert compose_colouring(ident, BETA_P5) == BETA_P5
+        # phi(beta(a)) == alpha(a) for every letter a
+        for img, want in zip(BETA_P5.images, ALPHA_P5.images, strict=True):
+            assert apply(PHI_P5, Word(img, 5)) == Word(want, 3)
 
     def test_composed_image_of_2_has_length_8(self):
-        composed = compose_colouring(PHI_P5, BETA_P5)
-        assert len(apply(composed, w("2", 3))) == 8
+        assert len(apply(PHI_P5, Word(BETA_P5.images[2], 5))) == 8

@@ -166,7 +166,7 @@ class TestMaxColouredWalk:
         assert res.length == 1
 
     def test_identity_colouring_on_c4_exceeds_bound(self):
-        res = max_coloured_walk(cycle_graph(4), Colouring.identity(4), 200)
+        res = max_coloured_walk(cycle_graph(4), Colouring(4, 4, range(4)), 200)
         assert res.bound_exceeded
 
     def test_witness_colourings_verify(self):
@@ -179,7 +179,7 @@ class TestMaxColouredWalk:
 
     def test_rejects_mismatched_colouring(self):
         with pytest.raises(ValueError):
-            max_coloured_walk(cycle_graph(4), Colouring.identity(3), 10)
+            max_coloured_walk(cycle_graph(4), Colouring(3, 3, range(3)), 10)
 
 
 class TestGammaLowerBound:
@@ -530,7 +530,7 @@ class TestDeepCaps:
 
     def test_coloured_walk(self):
         cap = sys.getrecursionlimit() + 100
-        res = max_coloured_walk(cycle_graph(3), Colouring.identity(3), cap)
+        res = max_coloured_walk(cycle_graph(3), Colouring(3, 3, range(3)), cap)
         assert res.outcome == "bound_exceeded" and res.length == cap
 
 
