@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="input word for apply")
     p.add_argument("--max-len", type=int, default=5, help="sweep length for preserve")
     p.add_argument("--forbid", action="append", help="forbidden factor (repeatable)")
-    p.add_argument("--letters", help="comma-separated letters for align")
+    p.add_argument("--letters", help="letters for align, as a word")
     p.set_defaults(func=cmd_morphism)
 
     return parser

@@ -7,7 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .words import Word, _backtrack, _letter_keys, _letter_width, _suffix_check, is_square_free
+from .words import (Word, _backtrack, _comma_letters, _letter_keys, _letter_width, _suffix_check,
+                    is_square_free)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,9 @@ def parse_morphism(text: str) -> Morphism:
     """Parse the "i -> image" line format, one line per source letter in order.
 
     i is a run of ASCII digits and the image a word in Word.from_text's
-    grammar; blank lines and lines starting with "#" are skipped."""
+    grammar, except that once any image holds a comma every image is read
+    in the comma format, so "0 -> 0,12" and "1 -> 12" give 1 the one letter
+    12.  Blank lines and lines starting with "#" are skipped."""
     images = []
     for line in text.splitlines():
         line = line.strip()
@@ -55,10 +58,13 @@ def parse_morphism(text: str) -> Morphism:
             raise ValueError(f"malformed morphism line {line!r}")
         if int(left) != len(images):
             raise ValueError(f"source letters must appear in order, got line {line!r}")
-        images.append(Word.from_text(right[0]).letters)
+        images.append(right[0].strip())
     if not images:
         raise ValueError("empty morphism definition")
-    return Morphism.from_images(images)
+    if any("," in image for image in images):
+        # an empty image is left for Morphism to reject by name
+        return Morphism.from_images(_comma_letters(image) if image else () for image in images)
+    return Morphism.from_images(Word.from_text(image).letters for image in images)
 
 
 def apply(m: Morphism, w: Word) -> Word:

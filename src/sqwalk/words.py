@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 
@@ -84,10 +84,7 @@ class Word:
             if alphabet_size is None:  # one more than the largest digit present
                 alphabet_size = next((a for a in range(9, -1, -1) if a in ls), 0) + 1
         else:
-            parts = text.split(",")
-            if not (text.isascii() and all(map(str.isdigit, parts))):
-                raise ValueError(f"malformed word {text!r}")
-            ls = tuple(map(int, parts))
+            ls = _comma_letters(text)
             if alphabet_size is None:
                 alphabet_size = max(ls) + 1
         return cls(ls, alphabet_size)
@@ -127,6 +124,15 @@ class Word:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _comma_letters(text: str) -> tuple[int, ...]:
+    """The letters of a word in the comma format: comma-separated runs of
+    ASCII digits, so "12" is one letter and "12," and ",12" are malformed."""
+    parts = text.split(",")
+    if not (text.isascii() and all(map(str.isdigit, parts))):
+        raise ValueError(f"malformed word {text!r}")
+    return tuple(map(int, parts))
 
 
 def _unpack(width: int, packed) -> tuple[int, ...]:
@@ -263,26 +269,42 @@ def is_square_free(w: Word) -> bool:
     return find_square(w) is None
 
 
-# Half-lengths below _ANCHOR are listed by the oracle's one-letter search;
-# longer ones by a search for the _ANCHOR letters that start the square.  Of
-# 8, 12 and 16, 8 ran slowest and 12 and 16 about the same.
+# First rung of the oracle's anchor ladder: half-lengths below _ANCHOR are
+# found by one regex pass, longer ones through anchors of _ANCHOR, 4 * _ANCHOR,
+# 16 * _ANCHOR, ... letters.  Of 8, 12 and 16, on 18 stream prefixes of
+# 1150-1650 letters 12 and 16 ran alike and 8 1.1 times as long; on every
+# ternary word of at most 12 letters 8 ran 1.1 times as fast as 12 and 16;
+# on p5 prefixes of 5000 and 25000 letters the three ran alike.
 _ANCHOR = 12
+
+
+@lru_cache(maxsize=8)
+def _short_square(anchor: int, kind: type):
+    """search(s): a match of a square of half-length below anchor in s, a
+    bytes or a str as kind says, or None."""
+    pattern = "(.{1,%d}?)\\1" % (anchor - 1)
+    return re.compile(pattern.encode() if kind is bytes else pattern, re.DOTALL).search
 
 
 def brute_force_square_check(w: Word) -> bool:
     """Independent square-freeness oracle: test every (start, length) candidate.
 
-    For each start i it lists the second-half starts j = i + L at which a
-    square w[i:j] == w[j:2j-i] could begin, and compares the two halves
-    directly.  The word becomes one string: a bytes string when every letter
-    is below 256, else a str with one code point per distinct letter, in
-    order of first occurrence.  Both relabellings are injective, so squares
-    are unchanged, and str.find / bytes.find list the candidates.  For
-    L < _ANCHOR, the j with w[j] == w[i].  For longer L a square repeats the
-    anchor w[i:i+_ANCHOR] at j, so the occurrences of the anchor with L in
-    [_ANCHOR, (n-i)//2] are the only candidates.  A word with more than
-    0x110000 distinct letters has no such str and raises ValueError.  Kept
-    deliberately separate from find_square (no packing, no XOR) so the two
+    The word becomes one string: a bytes string when every letter is below
+    256, else a str with one code point per distinct letter, in order of
+    first occurrence.  Both relabellings are injective, so squares are
+    unchanged.  Half-lengths L < _ANCHOR are found by one re.search of
+    (.{1,_ANCHOR-1}?)\\1 over the whole string.  For longer L, each start i
+    climbs a ladder of anchors w[i:i+B], B = _ANCHOR, 4 * _ANCHOR, 16 *
+    _ANCHOR, ...: a square w[i:j] == w[j:2j-i] with L = j - i in [B, 4B)
+    repeats the anchor at j, so the occurrences of the anchor at j in
+    [i+B, i+4B) (str.find / bytes.find) are its only candidates, and
+    startswith compares the two halves of each.  Two occurrences of the
+    anchor less than B letters apart overlap in a square, so a square-free
+    word gives each rung at most three candidates, and each start O(log n)
+    of them.
+    A word with more than 0x110000 distinct letters has no such str and
+    raises ValueError.  Kept deliberately separate from find_square (no
+    packing, no XOR, no block levels, no _suffix_check) so the two
     implementations cross-validate each other.
     """
     letters = _word_args(w)
@@ -293,23 +315,21 @@ def brute_force_square_check(w: Word) -> bool:
         code = {a: chr(i) for i, a in enumerate(dict.fromkeys(letters))}
         s = "".join([code[a] for a in letters])
     A = _ANCHOR
-    for i in range(n - 1):
+    if A > 1 and _short_square(A, type(s))(s):
+        return False
+    for i in range(n - 2 * A + 1):
         top = (n - i) // 2  # largest half-length from start i
-        ch = s[i]
-        hi = i + (top if top < A else A - 1) + 1
-        j = s.find(ch, i + 1, hi)
-        while j != -1:
-            if s[i:j] == s[j:2 * j - i]:
-                return False
-            j = s.find(ch, j + 1, hi)
-        if top >= A:
-            anchor = s[i:i + A]
-            hi = i + top + A  # an anchor ending here has L = top
-            j = s.find(anchor, i + A, hi)
+        B = A
+        while B <= top:
+            anchor = s[i:i + B]
+            # an anchor that starts at j < i + 4B and ends by here has L < 4B, L <= top
+            hi = i + (top if top < 4 * B else 4 * B - 1) + B
+            j = s.find(anchor, i + B, hi)
             while j != -1:
-                if s[i:j] == s[j:2 * j - i]:
+                if s.startswith(s[i:j], j):
                     return False
                 j = s.find(anchor, j + 1, hi)
+            B *= 4
     return True
 
 

@@ -413,6 +413,25 @@ class TestMorphism:
         assert code == 0
         assert out == "012\n"
 
+    def test_morphism_file_comma_format(self, capsys, tmp_path):
+        # one comma puts every image in the comma format: 1 -> 12 is the one letter 12
+        path = tmp_path / "m.morphism"
+        path.write_text("0 -> 0,12\n1 -> 12\n")
+        assert run(capsys, "morphism", "apply", str(path), "--word", "01") == (0, "0,12,12\n", "")
+
+    @pytest.mark.parametrize("image", ["12,", ",12"])
+    def test_morphism_file_malformed_comma_image(self, capsys, tmp_path, image):
+        path = tmp_path / "m.morphism"
+        path.write_text(f"0 -> 0,12\n1 -> {image}\n")
+        code, out, err = run(capsys, "morphism", "apply", str(path), "--word", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed word {image!r}\n"
+
+    def test_morphism_help_describes_letters_as_a_word(self, capsys):
+        code, out, _ = run(capsys, "morphism", "--help")
+        assert code == 0
+        assert "--letters LETTERS letters for align, as a word" in " ".join(out.split())
+
     @pytest.mark.parametrize("k,line", [(0, "a -> 01"), (0, "\u0660 -> 012"), (1, "+1 -> 02")])
     def test_morphism_file_malformed_line(self, capsys, tmp_path, k, line):
         # the source letter is a run of ASCII digits, as in a word

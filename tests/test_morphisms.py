@@ -96,6 +96,17 @@ class TestMorphismType:
         with pytest.raises(ValueError, match="malformed word"):
             parse_morphism("0 -> \u0661")
 
+    def test_one_comma_puts_every_image_in_the_comma_format(self):
+        assert parse_morphism("0 -> 0,12\n1 -> 12").images == ((0, 12), (12,))
+        assert parse_morphism("0 -> 12\n1 -> 0,12").images == ((12,), (0, 12))
+        assert parse_morphism("0 -> 012\n1 -> 12").images == ((0, 1, 2), (1, 2))
+
+    @pytest.mark.parametrize("image", ["12,", ",12", "1,,2", "\u0661,2"])
+    def test_malformed_comma_image(self, image):
+        with pytest.raises(ValueError) as exc:
+            parse_morphism(f"0 -> 0,12\n1 -> {image}")
+        assert str(exc.value) == f"malformed word {image!r}"
+
 
 class TestApply:
     def test_tau_examples(self):

@@ -463,53 +463,75 @@ class TestBruteForceOracle:
 
     STREAMS = TestFindSquareBlockLevels.STREAMS + (lambda: claw_walk_stream(claw_graph(), 0),)
     ANCHOR = words._ANCHOR  # read before any test patches it
+    # the half-lengths on either side of the first three rungs of the
+    # ladder, L in [B, 4B) for B = A, 4A, 16A, and the rungs themselves
+    EDGES = tuple(L for B in (ANCHOR, 4 * ANCHOR, 16 * ANCHOR) for L in (B - 1, B, B + 1))
 
     @pytest.fixture(scope="class")
     def factors(self):
         """Stream factors of 24-3000 letters, each paired with the reference
-        answer: square-free factors up to 1000 letters, and factors with a
-        square uu planted at start 0 or flush with the end, at the
-        half-lengths on either side of the anchor's length, a random one and
-        n // 2.  (The reference's slice compares make it cubic on long
-        square-free words.)"""
+        answer (start, half) or None: square-free factors up to 1000 letters,
+        and factors with a square uu planted at start 0 or flush with the
+        end, at the rung edges, 1, 2A, a random half-length and n // 2.
+        Planting can make a shorter square where the two copies of u meet,
+        so for a rung edge up to 100 factors are tried (by find_square) for
+        one whose least square is the planted one.  (The reference's slice
+        compares make it cubic on long square-free words.)"""
         rng = random.Random(12)
         a = self.ANCHOR
         out = []
         for make in self.STREAMS:
             src = make().prefix(4000).letters
             for n in (24, 25, rng.randrange(26, 601), rng.randrange(601, 1001), 3000):
-                f = src[(off := rng.randrange(len(src) - n)):off + n]
                 if n <= 1000:
-                    out.append(f)
-                for L in {1, a - 1, a, a + 1, 2 * a, rng.randrange(1, n // 2 + 1), n // 2}:
+                    f = src[(off := rng.randrange(len(src) - n)):off + n]
+                    out.append((f, naive_find_square(f)))
+                for L in sorted({1, 2 * a, rng.randrange(1, n // 2 + 1), n // 2, *self.EDGES}):
                     if L <= n // 2:
-                        g = f[:n - L]
-                        out += [g[:L] + g, g + g[-L:]]
-        return [(letters, naive_find_square(letters) is None) for letters in out]
+                        for at_end in (False, True):
+                            planted = (n - 2 * L if at_end else 0, L)
+                            for _ in range(100 if L in self.EDGES else 1):
+                                g = src[(off := rng.randrange(len(src) - n)):off + n - L]
+                                letters = g + g[-L:] if at_end else g[:L] + g
+                                if find_square(letters) == planted:
+                                    break
+                            out.append((letters, naive_find_square(letters)))
+        return out
 
     def test_stream_factors(self, factors):
-        assert sum(expected for _, expected in factors) == 5 * 4  # the square-free factors
-        for letters, expected in factors:
-            assert brute_force_square_check(letters) is expected, letters
+        assert sum(least is None for _, least in factors) == 5 * 4  # the square-free factors
+        for letters, least in factors:
+            assert brute_force_square_check(letters) is (least is None), letters
+            assert find_square(Word(letters, 5)) == least, letters
 
     def test_stream_factors_wide(self, factors):
         # relabelled by 300 a, the factors take the str path for letters past
         # 255; shifted by 2**40 no letter is a code point itself, so only the
         # first-occurrence relabelling can run them
-        for letters, expected in factors:
+        for letters, least in factors:
             for wide in (tuple(300 * a for a in letters), tuple(2**40 + a for a in letters)):
-                assert brute_force_square_check(wide) is expected, letters
+                assert brute_force_square_check(wide) is (least is None), letters
+            assert find_square(Word([300 * a for a in letters], 1500)) == least, letters
+
+    def test_ladder_edges(self, factors):
+        # each rung edge is the least square of a factor planted at start 0
+        # and of one planted flush with the end
+        hits = {(least[1], least[0] == 0) for letters, least in factors
+                if least and least[0] in (0, len(letters) - 2 * least[1])}
+        assert {(L, at_start) for L in self.EDGES for at_start in (True, False)} <= hits
 
     @pytest.mark.parametrize("anchor", [1, 2, 3])
     def test_small_anchor(self, monkeypatch, factors, anchor):
-        # the anchor search then lists the candidates of nearly every half-length
+        # the patched anchor bounds the regex pass (none at 1) and starts the
+        # ladder, so rungs 1, 4, 16, ... (2, 8, 32, ...; 3, 12, 48, ...) take
+        # nearly every half-length
         monkeypatch.setattr(words, "_ANCHOR", anchor)
         for n in range(11):
             for letters in itertools.product(range(3), repeat=n):
                 assert brute_force_square_check(letters) is (naive_find_square(letters) is None), letters
-        for letters, expected in factors:
-            if not expected and len(letters) <= 1000:
-                assert brute_force_square_check(letters) is False, letters
+        for letters, least in factors:
+            assert brute_force_square_check(letters) is (least is None), letters
+            assert brute_force_square_check(tuple(300 * a for a in letters)) is (least is None), letters
 
     def test_independent_of_find_square(self, monkeypatch):
         def banned(*args):
