@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -266,11 +265,11 @@ def crochemore_uniform_test(m: Morphism) -> bool:
     if len(set(map(len, m.images))) != 1:
         raise ValueError("crochemore_uniform_test requires a uniform morphism")
     n = m.source_alphabet_size
-    # over one letter no word of length 3 is square-free: the only one is 0
-    for v in itertools.product(range(n), repeat=3 if n > 1 else 1):
-        if is_square_free(v) and not is_square_free(_expand(m.images, v)):
-            return False
-    return True
+    # a word of length 3 is square-free iff no two neighbours are equal; over
+    # one letter there is none, and the word checked is 0
+    words = [(a, b, c) for a in range(n) for b in range(n) if b != a
+             for c in range(n) if c != b] if n > 1 else [(0,)]
+    return all(is_square_free(_expand(m.images, v)) for v in words)
 
 
 def preservation_test(m: Morphism, max_len: int,
@@ -281,6 +280,13 @@ def preservation_test(m: Morphism, max_len: int,
     alphabet of length <= max_len that avoid every factor in `forbidden`.
     Returns the first word whose image contains a square, or None when the
     sweep passes.
+
+    A node's image is checked once, for the squares that end in the newest
+    letter's image, since its prefix's image is already square-free: one
+    memoized regex match on a window of the last few images finds the short
+    ones, and an anchor ladder over the whole image the long ones
+    (words._span_check).  Each image length has one check, so its table of
+    windows (at most words._WINDOWS) serves the whole sweep.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -292,17 +298,34 @@ def preservation_test(m: Morphism, max_len: int,
     # each image packed newest letter first, with the check of the squares
     # that end in it: the image of a node's prefix is already square-free
     rev_images = [b"".join(_letter_keys(reversed(img), width)) for img in m.images]
-    checks = [_suffix_check(width, len(img)) for img in m.images]
+    by_span = {span: _suffix_check(width, span) for span in set(map(len, m.images))}
+    checks = [by_span[len(img)] for img in m.images]
+    # each forbidden factor as the letter it bans after the rest of it
+    bans: dict[tuple, set] = {}
+    for f in forb:
+        bans.setdefault(tuple(f[:-1]), set()).add(f[-1])
+    lengths = sorted({len(h) for h in bans})
+    letters = range(n)
 
     def successors(buf):
-        if len(buf) < max_len:
-            for a in range(n):
-                word = buf + [a]
-                if not any(word[-len(f):] == f for f in forb if len(f) <= len(word)):
-                    yield a
+        k = len(buf)
+        if k >= max_len:
+            return ()
+        banned = set().union(*[bans.get(tuple(buf[k - h:]), ()) for h in lengths if h <= k])
+        return [a for a in letters if a not in banned] if banned else letters
+
+    rev = bytearray()  # the image of the node last checked, newest letter first
+    sizes = []  # the bytes of each letter's image in rev, oldest letter first
 
     def square_image(buf):
-        return not checks[buf[-1]](b"".join(map(rev_images.__getitem__, reversed(buf))))
+        # the engine goes depth first, so the node's parent is a prefix of
+        # the node last checked: drop the images of the letters past it
+        while len(sizes) >= len(buf):
+            del rev[:sizes.pop()]
+        image = rev_images[buf[-1]]
+        rev[:0] = image
+        sizes.append(len(image))
+        return not checks[buf[-1]](rev)
 
     # successors stops at max_len, so the engine stops only on a square image
     _, found, stopped = _backtrack(successors([]), successors, range(n), n - 1, max_len + 1,

@@ -339,19 +339,30 @@ def brute_force_square_check(w: Word) -> bool:
 _TAIL = 8
 
 
+# A span check keeps the short-square verdicts of at most _WINDOWS windows.
+_WINDOWS = 4096
+
+
 def _suffix_check(width: int, span: int = 1):
     """check(rev): True iff no square ends in the newest span letters of the
     word that rev holds newest letter first, at width bytes per letter (so,
     if the word without them is square-free, iff the word is).  In rev such a
-    square starts at one of the first span letters.  For the first: one re
-    match finds any of half-length up to _TAIL (read once, here); a longer
-    one repeats the first _TAIL letters L letters on, so bytes.find lists the
-    aligned copies with L in (_TAIL, n // 2] and startswith confirms each
-    one.  A square that starts at a later letter starts the rest of rev from
-    there, so a wider span runs the same check on each of those rests."""
+    square starts at one of the first span letters.
+
+    Span 1: one re match finds any square of half-length up to _TAIL (read
+    once, here); a longer one repeats the first _TAIL letters L letters on,
+    so bytes.find lists the aligned copies with L in (_TAIL, n // 2] and
+    startswith confirms each one.  A wider span takes _span_check, one pass
+    over rev for every square that starts in its first span letters: a
+    regex match on a window of rev for half-lengths below span + _TAIL,
+    its verdict kept in a table of at most _WINDOWS windows, and a ladder
+    of anchors just past the span for longer ones.  It needs rev without
+    its first span letters to be square-free."""
+    letter = b"." if width == 1 else b"(?:.{%d})" % width
+    if span > 1:
+        return _span_check(width, span, letter)
     tw = _TAIL * width
     w2 = 2 * width
-    letter = b"." if width == 1 else b"(?:.{%d})" % width
     short = re.compile(b"(%s{1,%d}?)\\1" % (letter, _TAIL), re.DOTALL).match
 
     def check(rev) -> bool:
@@ -368,10 +379,65 @@ def _suffix_check(width: int, span: int = 1):
             q = rev.find(head, q - q % width + width, hi)  # next letter boundary
         return True
 
-    if span == 1:
-        return check
-    rests = [slice(s, None) for s in range(0, span * width, width)]
-    return lambda rev: all(map(check, map(rev.__getitem__, rests)))
+    return check
+
+
+def _span_check(width: int, span: int, letter: bytes):
+    """_suffix_check for span > 1 newest letters, in one pass over rev, whose
+    letters from span on must form a square-free word.
+
+    A square that starts at letter s < span of rev with half-length L < K =
+    span + _TAIL ends within the first span - 1 + 2 * (K - 1) letters.  One
+    re match of (letter){0,span-1}?(letter{1,K-1}?)\\1 on that window finds
+    it, and the verdict, which depends only on the window's bytes, is kept in
+    a table of at most _WINDOWS windows (least recently used dropped first).
+    The window holds the images of the last few source letters, so a sweep
+    meets few distinct ones.
+
+    A longer square holds the anchor rev[span:span+B] in its first half and
+    a copy at span + L.  The ladder B = _TAIL, 4 * _TAIL, 16 * _TAIL, ...
+    gives rung B the half-lengths [span + B, span + 4B), whose copies
+    bytes.find lists; two copies less than B letters apart would overlap in
+    a square of rev[span:], so a rung has at most three.  A copy is a square
+    iff the letters before the two anchors agree back into the first span
+    letters (the trailing zero bytes of the XOR of rev[:span] and the span
+    letters before the copy) and the letters after them agree forward to
+    the end of the first half (startswith).
+    """
+    K = span + _TAIL
+    sw, tw = span * width, _TAIL * width
+    window = (span - 1 + 2 * (K - 1)) * width
+    short = re.compile(b"%s{0,%d}?(%s{1,%d}?)\\1" % (letter, span - 1, letter, K - 1),
+                       re.DOTALL).match
+
+    @lru_cache(maxsize=_WINDOWS)
+    def short_free(win: bytes) -> bool:
+        return short(win) is None
+
+    def check(rev) -> bool:
+        if not short_free(bytes(rev[:window])):
+            return False
+        top = len(rev) // (2 * width) * width  # bytes in the longest half that fits
+        head = int.from_bytes(rev[:sw], "big")
+        B = tw
+        while sw + B <= top:
+            anchor = rev[sw:sw + B]
+            # its copies at sw + L (bytes) for L in [sw + B, sw + 4B), L <= top
+            hi = sw + B + min(sw + 4 * B - width, top)
+            q = rev.find(anchor, 2 * sw + B, hi)
+            while q != -1:
+                if q % width == 0:
+                    diff = head ^ int.from_bytes(rev[q - sw:q], "big")
+                    back = ((diff & -diff).bit_length() - 1) // 8 if diff else sw
+                    back -= back % width  # whole letters agree before the anchors
+                    if back and rev.startswith(rev[sw + B:q - back], q + B):
+                        return False
+                q = rev.find(anchor, q + 1, hi)
+            B *= 4
+        return True
+
+    check.cache_info = short_free.cache_info
+    return check
 
 
 def _backtrack(starts, successors, colour, top: int, cap: int, stop=None):

@@ -336,6 +336,11 @@ class TestPreservation:
     def test_identity_passes(self):
         assert preservation_test(IDENTITY, 6) is None
 
+    def test_alpha_p5_passes_to_length_100(self):
+        # every square-free word of at most 100 letters that avoids 010 and
+        # 212 has a square-free image; CI sweeps on to length 200
+        assert preservation_test(ALPHA_P5, 100, [w("010"), w("212")]) is None
+
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
             preservation_test(ALPHA_P5, 0)
@@ -345,6 +350,11 @@ class TestPreservation:
 
     def test_long_images_and_deep_sweeps_match_brute_force(self):
         self.check_random_morphisms(random.Random(2013), 400, lambda x: x, 24, 7)
+
+    def test_deep_sweeps_of_long_images_match_brute_force(self):
+        # images of up to 24 letters and sweeps to length 9: images long
+        # enough for the one-pass check's anchor ladder
+        self.check_random_morphisms(random.Random(2016), 400, lambda x: x, 24, 9)
 
     @pytest.mark.parametrize("relabel", [lambda x: 300 + x, lambda x: 0x0107 + 0x100 * x,
                                          lambda x: 70_000 * (x + 1)],

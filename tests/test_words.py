@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqwalk import words
+from sqwalk import morphisms, words
 from sqwalk.graphs import claw_graph, cycle_graph
 from sqwalk.morphisms import InfiniteWordStream
 from sqwalk.walks import (c4_walk_uniform_stream, claw_walk_stream, dean_reduced_stream,
@@ -612,6 +612,14 @@ def packed_suffix_square_free(letters):
     return words._suffix_check(width)(bytearray(packed))
 
 
+@pytest.fixture(params=[1, 2, words._TAIL], ids=lambda t: f"tail{t}")
+def tail(request, monkeypatch):
+    """words._TAIL patched to 1, 2 and its own value, so that the regular
+    expression's half-lengths stop early and the longer-square paths run."""
+    monkeypatch.setattr(words, "_TAIL", request.param)
+    return request.param
+
+
 class TestSuffixSquareCheck:
     """The backtracking engine's packed check, against the slice-per-half
     reference (exact on any word) and, where the word minus its last letter
@@ -624,11 +632,6 @@ class TestSuffixSquareCheck:
     # all share one low byte, so every other byte matches across letters
     ALPHABETS = (TestFindSquareBlockLevels.ALPHABETS
                  + (tuple(0x0107 + 0x100 * a for a in range(5)),))
-
-    @pytest.fixture(params=[1, 2, words._TAIL], ids=lambda t: f"tail{t}")
-    def tail(self, request, monkeypatch):
-        monkeypatch.setattr(words, "_TAIL", request.param)
-        return request.param
 
     def check(self, letters, expected=None):
         naive = naive_suffix_square_free(letters)
@@ -680,6 +683,125 @@ class TestSuffixSquareCheck:
                         self.check(f + f[m - L:], expected=False)
                 self.check(f + f, expected=False)  # L = n // 2, n even
                 self.check((4,) + f + f, expected=False)  # L = n // 2, n odd
+
+
+def squares_ending(letters, span):
+    """(r, L) for every square of half-length L that ends r < span letters
+    before the end of letters."""
+    n = len(letters)
+    return {(r, L) for r in range(span) for L in range(1, (n - r) // 2 + 1)
+            if letters[n - r - L:n - r] == letters[n - r - 2 * L:n - r - L]}
+
+
+class TestSpanCheck:
+    """The one-pass check of the squares that end in the newest span letters,
+    which preservation_test runs on each new image, against the per-rest
+    reference: naive_suffix_square_free on the word without its last r
+    letters, for every r < span.  The letters before the newest span are
+    square-free, as in a sweep.  Letters take 1, 2 or 3 bytes; the regex's
+    half-lengths stop at span + 1, span + 2 or span + the default _TAIL."""
+
+    STREAMS = (thue_stream, p5_walk_stream)
+    # 1-, 2- and 3-byte letters; 2-byte letters that share one low byte; and
+    # 2-byte letters where 0, 1 and 2 share the low byte and 0 and 3 the high
+    RELABELS = (lambda a: a, lambda a: 300 + a, lambda a: 70_000 * (a + 1),
+                lambda a: 0x0107 + 0x100 * a, lambda a: 0x100 * (a % 3 + 1) + a // 3 + 1)
+
+    def check(self, letters, span, expected=None):
+        assert is_square_free(Word(letters[:-span], max(letters) + 1))
+        n = len(letters)
+        want = all(naive_suffix_square_free(letters[:n - r]) for r in range(span))
+        if expected is not None:
+            assert want is expected, letters
+        for relabel in self.RELABELS:
+            width, packed = words._pack(tuple(map(relabel, letters))[::-1])
+            assert words._suffix_check(width, span)(packed) is want, (span, width, letters)
+
+    @staticmethod
+    def half_lengths(span, tail):
+        """K - 1, K and K + 1 for K = span + tail, the least half-length the
+        ladder takes, and both sides of each rung edge span + B up to 300."""
+        ls = {span + tail - 1, span + tail, span + tail + 1}
+        B = tail
+        while span + B <= 300:
+            ls |= {span + B - 1, span + B}
+            B *= 4
+        return sorted(ls)
+
+    @pytest.mark.parametrize("span", [2, 5, 24])
+    def test_planted_squares(self, tail, span):
+        # uu for a factor u of L letters, ending r letters before the end: at
+        # the newest span's last letter (r = 0) or its first (r = span - 1).
+        # Letters 5 and up, each used once, fill the last r places, so no
+        # square ends there.  Factors of the 5-letter tournament stream are
+        # tried until the planted square is the only one that ends in the
+        # newest span and the letters before it are square-free.
+        src = tournament5_stream().prefix(1000).letters
+        for L in self.half_lengths(span, tail):
+            for r in (0, span - 1):
+                fresh = tuple(range(5, 5 + r))
+                for off in range(300):
+                    u = src[off:off + L]
+                    letters = u + u + fresh
+                    if (is_square_free(Word(letters[:-span], 5 + span))
+                            and squares_ending(letters, span) == {(r, L)}):
+                        self.check(letters, span, expected=False)
+                        break
+                else:
+                    pytest.fail(f"no factor plants L={L} r={r}")
+
+    @pytest.mark.parametrize("span", [2, 5, 24])
+    def test_stream_continuations(self, tail, span):
+        # the stream's own next span letters (square-free), and the same with
+        # one letter changed; many anchor copies that are not squares
+        rng = random.Random(3000 + span + tail)
+        for make in self.STREAMS:
+            src = make().prefix(1500).letters
+            for m in (0, 1, span, tail + span, 3 * (span + tail), 200, 700):
+                off = rng.randrange(len(src) - m - span)
+                letters = src[off:off + m + span]
+                self.check(letters, span, expected=True)
+                for _ in range(3):
+                    i = rng.randrange(m, m + span)
+                    self.check(letters[:i] + (rng.randrange(5),) + letters[i + 1:], span)
+
+    @pytest.mark.parametrize("span", [2, 5, 24])
+    def test_halves_that_differ_in_one_byte(self, span):
+        # 3 y 0 y 1 with 2-byte letters: the halves 3y and 0y differ only in
+        # the low byte of 3 and 0, and 1 before 0y (newest letter first)
+        # agrees with 0 in the low byte.  So the bytes from the low byte of 1
+        # on form a square off the letter boundaries, which is not a square
+        # of letters.  Tournament factors y are tried until no square ends in
+        # the newest span and the letters before it are square-free.
+        src = tournament5_stream().prefix(1000).letters
+        for L in (span + words._TAIL, span + words._TAIL + 1, span + 40, span + 100):
+            for off in range(300):
+                y = src[off:off + L - 1]
+                letters = (3,) + y + (0,) + y + (1,)
+                if (is_square_free(Word(letters[:-span], 5))
+                        and not squares_ending(letters, span)):
+                    self.check(letters, span, expected=True)
+                    break
+            else:
+                pytest.fail(f"no factor gives L={L}")
+
+    def test_window_table_stays_within_its_bound(self, monkeypatch):
+        # x -> x3 preserves square-freeness; to length 9 a node's image (at
+        # most 18 letters) is all of its window (19 letters at span 2), so no
+        # window repeats, and a table of 8 keeps evicting
+        monkeypatch.setattr(words, "_WINDOWS", 8)
+        built = []
+
+        def suffix_check(width, span=1):
+            built.append(words._suffix_check(width, span))
+            return built[-1]
+
+        monkeypatch.setattr(morphisms, "_suffix_check", suffix_check)
+        m = morphisms.Morphism(3, 4, ((0, 3), (1, 3), (2, 3)))
+        assert morphisms.preservation_test(m, 9) is None
+        info = built[0].cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        assert info.hits == 0 and info.misses == 357  # the square-free words of length 1-9
 
 
 class TestBinaryExtremal:
