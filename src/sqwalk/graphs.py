@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
@@ -50,7 +51,13 @@ class Graph:
         return self._edges
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        """True iff ij is an edge: a bisection of i's sorted neighbours, so
+        the edge set is not built.  False for any vertex outside 0..n-1."""
+        if not 0 <= i < self.vertex_count:
+            return False
+        ns = self.adjacency[i]
+        k = bisect_left(ns, j)
+        return k < len(ns) and ns[k] == j
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
@@ -248,6 +255,9 @@ def _component_parts(adj) -> Iterator[tuple[tuple[int, ...], str, int]]:
     seen = [False] * len(adj)
     for s in range(len(adj)):
         if seen[s]:
+            continue
+        if not adj[s]:  # an isolated vertex needs no search
+            yield (s,), "path(1)", 0
             continue
         seen[s] = True
         verts = [s]

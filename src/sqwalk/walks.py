@@ -4,7 +4,7 @@ and the lazy witness-walk generators for every positive case."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 # components, find_* and induced_subgraph are unused here but stay bound:
 # perfbench/tracing.py rebinds them.
@@ -28,8 +28,7 @@ def is_g_word(g: Graph, w: Word) -> bool:
     return find_non_edge(g, w) is None
 
 
-@dataclass(frozen=True)
-class ComponentClassification:
+class ComponentClassification(NamedTuple):
     vertices: tuple[int, ...]
     shape_text: str
     exists: bool
@@ -54,17 +53,26 @@ def _triangle(adj, verts: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     """A triangle by degree-ordered listing (Chiba & Nishizeki 1985), or None.
 
     Each edge points from its lower (degree, id) end to its higher one, so
-    every vertex has O(sqrt m) out-neighbours and the scan is O(m sqrt m)."""
+    every vertex has O(sqrt m) out-neighbours and the scan is O(m sqrt m).
+    A vertex's out-list is built when the scan first reaches it, so a scan
+    that stops at a triangle builds only the lists it read."""
     size = len(adj)
     rank = {v: len(adj[v]) * size + v for v in verts}
-    out = {v: [u for u in adj[v] if rank[u] > rank[v]] for v in verts}
+    out: dict[int, list[int]] = {}
     for v in verts:
-        ov = out[v]
+        ov = out.get(v)
+        if ov is None:
+            r = rank[v]
+            ov = out[v] = [u for u in adj[v] if rank[u] > r]
         if len(ov) < 2:
             continue
         mine = set(ov)
         for u in ov:
-            for x in out[u]:
+            ou = out.get(u)
+            if ou is None:
+                r = rank[u]
+                ou = out[u] = [x for x in adj[u] if rank[x] > r]
+            for x in ou:
                 if x in mine:
                     return (v, u, x)
     return None
@@ -110,6 +118,19 @@ def _cycle_p5(adj, verts: tuple[int, ...]) -> tuple[int, ...]:
     return (out,) + tuple(cycle[i:] + cycle[:i])
 
 
+_NO_WALK = (False, None, None, None)
+
+
+def _cycle_run(adj, v0: int) -> tuple[int, ...]:
+    """Five consecutive vertices of a cycle component, from v0 towards its
+    smaller neighbour."""
+    run = [v0, adj[v0][0]]
+    while len(run) < 5:
+        a, b = adj[run[-1]]
+        run.append(b if a == run[-2] else a)
+    return tuple(run)
+
+
 def _classify_connected(adj, verts: tuple[int, ...], shape: str, m: int) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
     n = len(verts)
     if m >= n:
@@ -122,18 +143,19 @@ def _classify_connected(adj, verts: tuple[int, ...], shape: str, m: int) -> tupl
             v0 = verts[0]
             a, b = adj[v0]
             return True, 4, "C4", (v0, a, adj[a][1], b)
-        return True, 3, "P5", _cycle_p5(adj, verts)
-    if n >= 5:
-        # a tree has a P5 iff its diameter is at least 4
+        if shape == "other":
+            return True, 3, "P5", _cycle_p5(adj, verts)
+        return True, 3, "P5", _cycle_run(adj, verts[0])  # cycle(n), n >= 5
+    if n >= 5 and sum(map((1).__lt__, map(len, map(adj.__getitem__, verts)))) > 2:
+        # a tree with three non-leaf vertices x-y-z has a P5 through their
+        # leaves, so its diameter, found by two BFS passes, is at least 4
         far = _bfs(adj, verts[0])[0][-1]
         order, parent = _bfs(adj, far)
-        path = _tree_path(parent, order[-1])
-        if len(path) >= 5:
-            return True, 3, "P5", tuple(path[:5])
-    if shape == "other":  # some vertex has degree at least 3
+        return True, 3, "P5", tuple(_tree_path(parent, order[-1])[:5])
+    if shape == "other":  # a star or double star, or a smaller tree
         hub = next(v for v in verts if len(adj[v]) >= 3)
         return True, 4, "K13", (hub,) + adj[hub][:3]
-    return False, None, None, None
+    return _NO_WALK
 
 
 def classify(g: Graph) -> Classification:
@@ -146,31 +168,38 @@ def classify(g: Graph) -> Classification:
     across components the minimum wins, since a walk stays in one component.
 
     Each component with n vertices and m edges is decided in O(n + m) time
-    (O(m sqrt m) for the triangle scan when it has cycles), case by case:
+    (O(m sqrt m) for the triangle scan when it has cycles), and pays only
+    what its shape needs, case by case:
 
+    - an isolated vertex is path(1), found without a search, and has no walk;
     - a triangle (degree-ordered listing) gives C3; the scan is skipped on
       a cycle component C_n with n > 3, which has none;
-    - else, with a cycle, it is either exactly C4 (n = m = 4), or it has a
-      P5 taken from the fundamental cycle of a BFS non-tree edge;
-    - else it is a tree, which has a P5 iff its diameter (two BFS passes) is
-      at least 4;
-    - else a vertex of degree at least 3 gives K13, hub first, and otherwise
-      the component is a path on at most 4 vertices and has no walk.
+    - else a cycle component is exactly C4 (n = m = 4), or C_n with n >= 5,
+      whose P5 is the five consecutive vertices from its least vertex
+      towards that vertex's smaller neighbour;
+    - else an "other" component with a cycle has a P5 taken from the
+      fundamental cycle of a BFS non-tree edge;
+    - else it is a tree.  On at least 5 vertices it has a P5 iff more than
+      two of its vertices are not leaves; only then do two BFS passes find a
+      longest path, whose first five vertices are the P5.  A star or double
+      star is decided from these degree counts alone;
+    - else a vertex of degree at least 3 gives K13, the least such vertex as
+      hub, then its three least neighbours, and otherwise the component is a
+      path on at most 4 vertices and has no walk.
 
     The ``graphs.find_*`` detectors decide the same cases by search and
     serve as the exact reference in the tests.
     """
     adj = g.adjacency
-    comp_reports = []
-    for verts, shape, m in _component_parts(adj):
-        comp_reports.append(ComponentClassification(
-            verts, shape, *_classify_connected(adj, verts, shape, m)))
+    make = ComponentClassification._make
+    reports = tuple([make((verts, shape) + (_classify_connected(adj, verts, shape, m)
+                                            if m else _NO_WALK))
+                     for verts, shape, m in _component_parts(adj)])
     # min keeps the first component of least gamma
-    best = min((c for c in comp_reports if c.exists), key=lambda c: c.gamma, default=None)
+    best = min((c for c in reports if c.exists), key=lambda c: c.gamma, default=None)
     if best is None:
-        return Classification(False, None, None, None, tuple(comp_reports))
-    return Classification(True, best.gamma, best.witness, best.witness_vertices,
-                          tuple(comp_reports))
+        return Classification(False, None, None, None, reports)
+    return Classification(True, best.gamma, best.witness, best.witness_vertices, reports)
 
 
 def _verdict(c) -> str:
@@ -182,7 +211,7 @@ def render_classification(c: Classification) -> str:
     """Stable key=value rendering, one line plus one line per component."""
     lines = [_verdict(c)]
     for idx, comp in enumerate(c.components):
-        vs = ",".join(str(v) for v in comp.vertices)
+        vs = ",".join(map(str, comp.vertices))
         lines.append(f"component={idx} vertices={vs} shape={comp.shape_text} {_verdict(comp)}")
     return "\n".join(lines)
 

@@ -290,6 +290,23 @@ class TestConstructors:
         assert max(map(len, Graph(4, []).adjacency)) == 0
 
 
+class TestHasEdge:
+    def test_agrees_with_edges_in_and_out_of_range(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randrange(12)
+            g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+            pairs = [(i, j) for i in range(-3, n + 3) for j in range(-3, n + 3)]
+            answers = [g.has_edge(i, j) for i, j in pairs]
+            assert g._edges is None  # has_edge reads the neighbour tuples only
+            assert answers == [(min(i, j), max(i, j)) in g.edges for i, j in pairs]
+
+    def test_negative_index_does_not_wrap(self):
+        g = path_graph(5)  # adjacency[-1] == (3,)
+        assert not g.has_edge(-1, 3) and not g.has_edge(3, -1)
+        assert g.has_edge(4, 3) and g.has_edge(3, 4)
+
+
 # each detector decides containment of its pattern: found iff contained
 CONTAINMENT = [pytest.param(pattern, find, id=f"{pattern}-contains_{pattern}")
                for pattern, find in (("triangle", find_triangle), ("c4", find_c4),

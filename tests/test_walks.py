@@ -12,7 +12,7 @@ from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
 from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
                               Colouring, Morphism, apply, fixed_point_stream, image_stream)
 from sqwalk.search import longest_square_free_walk
-from sqwalk.walks import (Classification, ComponentClassification,
+from sqwalk.walks import (Classification, ComponentClassification, _cycle_p5,
                           c4_walk_uniform_stream, classify,
                           claw_walk_stream, cycle_walk_stream,
                           dean_reduced_stream, find_non_edge, is_g_word,
@@ -118,6 +118,13 @@ class TestIsGWord:
         assert find_non_edge(path_graph(3), w("0121", 3)) is None
         assert find_non_edge(path_graph(3), w("0110", 3)) == (1, (1, 1))
         assert find_non_edge(path_graph(3), w("2102", 3)) == (2, (0, 2))
+
+    def test_a_check_on_a_large_graph_builds_no_edge_set(self):
+        n = 10**5
+        g = path_graph(n)
+        assert find_non_edge(g, Word((5, 6, 7), n)) is None
+        assert find_non_edge(g, Word((5, 6, 8), n)) == (1, (6, 8))
+        assert g._edges is None
 
 
 class TestApplyColouring:
@@ -287,6 +294,167 @@ class TestClassifierMatchesDetectors:
             self.assert_agrees(Graph(n, [e for e in pairs if rng.random() < p]))
 
 
+def relabelled(n, edges, rng):
+    """The graph on n vertices with edges under a random relabelling."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[a], labels[b]) for a, b in edges])
+
+
+def prufer_tree(seq):
+    """The labelled tree on len(seq) + 2 vertices with Prüfer sequence seq."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)  # the least leaf
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Graph(n, edges)
+
+
+def reference_components(g):
+    """(sorted vertices, shape) of each component by a plain BFS from every
+    unseen vertex in order, with the shape rule of graphs.components."""
+    seen, comps = set(), []
+    for s in range(g.vertex_count):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        for v in queue:
+            for u in g.adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        degrees = [len(g.adjacency[v]) for v in queue]
+        n, m = len(queue), sum(degrees) // 2
+        shape = "other" if max(degrees) > 2 else f"path({n})" if m == n - 1 else f"cycle({n})"
+        comps.append((tuple(sorted(queue)), shape))
+    return comps
+
+
+class TestClassifyShortcuts:
+    """The shapes decided without a search: isolated vertices, stars, double
+    stars and cycles, and the trees that still take two BFS passes."""
+
+    assert_agrees = TestClassifierMatchesDetectors.assert_agrees
+
+    def test_every_labelled_tree_on_5_to_7_vertices(self):
+        for n in range(5, 8):
+            count = 0
+            for seq in itertools.product(range(n), repeat=n - 2):
+                g = prufer_tree(seq)
+                assert len(g.edges) == n - 1 and len(components(g)) == 1
+                self.assert_agrees(g)
+                count += 1
+            assert count == n ** (n - 2)  # Cayley's formula
+
+    def test_stars_and_double_stars_hub_first(self):
+        rng = random.Random(2911)
+        graphs = [(k + 1, [(0, i) for i in range(1, k + 1)]) for k in range(1, 21)]
+        graphs += [(2 + a + b, [(0, 1)] + [(0, 2 + i) for i in range(a)]
+                    + [(1, 2 + a + i) for i in range(b)])
+                   for a in range(1, 21) for b in range(1, 21)]
+        for n, edges in graphs:
+            g = relabelled(n, edges, rng)
+            c = classify(g)
+            assert c == detector_classify(g)  # the same witness vertices too
+            hubs = [v for v in range(n) if len(g.adjacency[v]) >= 3]
+            if hubs:
+                assert (c.witness, c.witness_vertices) == ("K13", (hubs[0],) + g.adjacency[hubs[0]][:3])
+            else:  # K1,1, K1,2 and S(1,1) are paths on at most 4 vertices
+                assert not c.exists and n <= 4
+
+    def test_spiders_and_caterpillars(self):
+        rng = random.Random(2912)
+        for k in range(400):
+            if k % 2:  # a spider: legs of random lengths from the centre 0
+                n, edges = 1, []
+                while n < rng.randint(2, 60):
+                    prev = 0
+                    for _ in range(rng.randint(1, 6)):
+                        edges.append((prev, n))
+                        prev, n = n, n + 1
+            else:  # a caterpillar: a spine 0..s-1, each with some leaves
+                s = rng.randint(1, 8)
+                edges = [(i, i + 1) for i in range(s - 1)]
+                n = s
+                for i in range(s):
+                    for _ in range(rng.choice([0, 0, 1, 2, 5])):
+                        edges.append((i, n))
+                        n += 1
+                    if n >= 55:
+                        break
+            assert n <= 60
+            self.assert_agrees(relabelled(n, edges, rng))
+
+    def test_cycle_p5_is_five_consecutive_vertices_from_the_least(self):
+        rng = random.Random(2913)
+        for n in range(5, 201):
+            total = n + rng.randrange(4)  # the rest are isolated vertices
+            ring = rng.sample(range(total), n)
+            g = Graph(total, [(ring[i], ring[(i + 1) % n]) for i in range(n)])
+            i = ring.index(min(ring))
+            step = 1 if ring[(i + 1) % n] < ring[i - 1] else -1
+            expected = tuple(ring[(i + step * k) % n] for k in range(5))
+            c = classify(g)
+            comp = next(comp for comp in c.components if len(comp.vertices) == n)
+            assert comp == (tuple(sorted(ring)), f"cycle({n})", True, 3, "P5", expected)
+            assert (c.witness, c.witness_vertices) == ("P5", expected)
+            self.assert_agrees(g)
+
+    def test_isolated_vertices_interleaved(self):
+        rng = random.Random(2914)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            live = [v for v in range(n) if rng.random() < 0.5]
+            pairs = itertools.combinations(live, 2)
+            p = rng.uniform(0.02, 0.3)
+            g = Graph(n, [e for e in pairs if rng.random() < p])
+            assert [(c.vertices, c.shape) for c in components(g)] == reference_components(g)
+            self.assert_agrees(g)
+        c = classify(Graph(3, []))
+        assert c.components == tuple(((v,), "path(1)", False, None, None, None) for v in range(3))
+
+    def test_component_records_are_named_tuples(self):
+        comp = classify(cycle_graph(4)).components[0]
+        assert isinstance(comp, tuple)
+        assert comp == ComponentClassification((0, 1, 2, 3), "cycle(4)", True, 4, "C4", (0, 1, 2, 3))
+        assert (comp.vertices, comp.shape_text, comp.witness_vertices) == ((0, 1, 2, 3), "cycle(4)",
+                                                                           (0, 1, 2, 3))
+
+
+# triangle-free "other" components with a cycle, whose P5 comes from the
+# fundamental cycle of a BFS non-tree edge (or a 4-cycle and a neighbour)
+OTHER_WITH_CYCLES = {
+    "K2,3": (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "C4_pendant": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+    "C6_chord": (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]),
+    "theta_2_3_3": (7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]),
+}
+
+
+class TestCycleP5:
+    @pytest.mark.parametrize("name", list(OTHER_WITH_CYCLES))
+    def test_other_components_with_a_cycle(self, name):
+        n, edges = OTHER_WITH_CYCLES[name]
+        rng = random.Random(name)
+        for k in range(30):
+            g = Graph(n, edges) if k == 0 else relabelled(n, edges, rng)
+            assert find_triangle(g) is None and find_p5(g) is not None
+            p5 = _cycle_p5(g.adjacency, tuple(range(n)))
+            assert witness_spans(g, "P5", p5), (name, g, p5)
+            c = classify(g)
+            assert c.components[0].shape_text == "other"
+            assert (c.witness, c.witness_vertices) == ("P5", p5)
+            TestClassifierMatchesDetectors().assert_agrees(g)
+
+
 class TestClassifyScale:
     """Linear time per component: 1e5-vertex graphs classify in seconds."""
 
@@ -299,6 +467,10 @@ class TestClassifyScale:
         "cycle": (lambda n: [(i, (i + 1) % n) for i in range(n)], (True, 3, "P5")),
         "p4_forest": (lambda n: [(i, i + 1) for i in range(n - 1) if i % 4 != 3],
                       (False, None, None)),
+        # centre 0 with legs 0-(2i+1)-(2i+2)
+        "spider": (lambda n: [(v - 1 if v % 2 == 0 else 0, v) for v in range(1, n)],
+                   (True, 3, "P5")),
+        "edgeless": (lambda n: [], (False, None, None)),
     }
 
     @pytest.mark.parametrize("family", list(FAMILIES))
