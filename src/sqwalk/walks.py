@@ -78,80 +78,43 @@ def _triangle(adj, verts: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _bfs(adj, root: int) -> tuple[list[int], dict[int, int]]:
-    """Vertices in BFS order from root, and each one's BFS parent."""
-    order, parent = [root], {root: root}
-    for v in order:
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    return order, parent
-
-
-def _tree_path(parent: dict[int, int], v: int) -> list[int]:
-    """v, parent(v), ... up to the BFS root."""
-    path = [v]
-    while parent[v] != v:
-        v = parent[v]
-        path.append(v)
-    return path
-
-
-def _cycle_p5(adj, verts: tuple[int, ...]) -> tuple[int, ...]:
-    """A P5 in a connected triangle-free component that has a cycle and is not C4.
-
-    The fundamental cycle of a BFS non-tree edge has at least four vertices;
-    five consecutive ones form a P5, and a 4-cycle gets its fifth vertex from
-    a neighbour outside it, which connectivity guarantees."""
-    order, parent = _bfs(adj, verts[0])
-    u, x = next((v, y) for v in order for y in adj[v]
-                if parent[v] != y and parent[y] != v)
-    up, down = _tree_path(parent, u), _tree_path(parent, x)
-    on_down = set(down)
-    top = next(i for i, v in enumerate(up) if v in on_down)
-    cycle = up[:top + 1] + down[:down.index(up[top])][::-1]
-    if len(cycle) >= 5:
-        return tuple(cycle[:5])
-    on_cycle = set(cycle)
-    i, out = next((i, y) for i, v in enumerate(cycle) for y in adj[v] if y not in on_cycle)
-    return (out,) + tuple(cycle[i:] + cycle[:i])
-
-
 _NO_WALK = (False, None, None, None)
 
 
-def _cycle_run(adj, v0: int) -> tuple[int, ...]:
-    """Five consecutive vertices of a cycle component, from v0 towards its
-    smaller neighbour."""
-    run = [v0, adj[v0][0]]
-    while len(run) < 5:
-        a, b = adj[run[-1]]
-        run.append(b if a == run[-2] else a)
-    return tuple(run)
+def _p5_or_c4(adj, verts: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """("P5", path) or ("C4", ring) of a connected triangle-free component
+    with at least three non-leaf vertices, by one local rule.
+
+    The non-leaves of a connected graph induce a connected subgraph, so some
+    y has non-leaf neighbours x < z.  With no triangle, x2-x-y-z-z2 is a P5
+    unless N(x) = N(z) = {y, x2}: then ring y-x-x2-z has an outside
+    neighbour of y or x2, or is the whole component."""
+    for y in verts:
+        inner = [v for v in adj[y] if len(adj[v]) > 1]
+        if len(inner) > 1:
+            break
+    x, z = inner[:2]
+    for x2 in [v for v in adj[x] if v != y]:
+        z2 = next((v for v in adj[z] if v != y and v != x2), None)
+        if z2 is not None:
+            return "P5", (x2, x, y, z, z2)
+    # x2 is x's one other neighbour, and z's too
+    for hub, far in ((y, x2), (x2, y)):
+        u = next((v for v in adj[hub] if v != x and v != z), None)
+        if u is not None:
+            return "P5", (u, hub, x, far, z)
+    return "C4", (y, x, x2, z)
 
 
 def _classify_connected(adj, verts: tuple[int, ...], shape: str, m: int) -> tuple[bool, Optional[int], Optional[str], Optional[tuple[int, ...]]]:
     n = len(verts)
-    if m >= n:
-        tri = _triangle(adj, verts) if shape == "other" or n == 3 else None
+    if m >= n and (shape == "other" or n == 3):
+        tri = _triangle(adj, verts)
         if tri is not None:
             return True, 3, "C3", tri
-        if (n, m) == (4, 4):
-            # a triangle-free 4-cycle: v0, the least vertex, is its ring's
-            # start and adj[a] = (v0, the vertex opposite v0)
-            v0 = verts[0]
-            a, b = adj[v0]
-            return True, 4, "C4", (v0, a, adj[a][1], b)
-        if shape == "other":
-            return True, 3, "P5", _cycle_p5(adj, verts)
-        return True, 3, "P5", _cycle_run(adj, verts[0])  # cycle(n), n >= 5
-    if n >= 5 and sum(map((1).__lt__, map(len, map(adj.__getitem__, verts)))) > 2:
-        # a tree with three non-leaf vertices x-y-z has a P5 through their
-        # leaves, so its diameter, found by two BFS passes, is at least 4
-        far = _bfs(adj, verts[0])[0][-1]
-        order, parent = _bfs(adj, far)
-        return True, 3, "P5", tuple(_tree_path(parent, order[-1])[:5])
+    if m >= n or n >= 5 and sum(map((1).__lt__, map(len, map(adj.__getitem__, verts)))) > 2:
+        witness, found = _p5_or_c4(adj, verts)
+        return True, 4 if witness == "C4" else 3, witness, found
     if shape == "other":  # a star or double star, or a smaller tree
         hub = next(v for v in verts if len(adj[v]) >= 3)
         return True, 4, "K13", (hub,) + adj[hub][:3]
@@ -174,18 +137,13 @@ def classify(g: Graph) -> Classification:
     - an isolated vertex is path(1), found without a search, and has no walk;
     - a triangle (degree-ordered listing) gives C3; the scan is skipped on
       a cycle component C_n with n > 3, which has none;
-    - else a cycle component is exactly C4 (n = m = 4), or C_n with n >= 5,
-      whose P5 is the five consecutive vertices from its least vertex
-      towards that vertex's smaller neighbour;
-    - else an "other" component with a cycle has a P5 taken from the
-      fundamental cycle of a BFS non-tree edge;
-    - else it is a tree.  On at least 5 vertices it has a P5 iff more than
-      two of its vertices are not leaves; only then do two BFS passes find a
-      longest path, whose first five vertices are the P5.  A star or double
-      star is decided from these degree counts alone;
-    - else a vertex of degree at least 3 gives K13, the least such vertex as
-      hub, then its three least neighbours, and otherwise the component is a
-      path on at most 4 vertices and has no walk.
+    - else a component with a cycle, or a tree with more than two non-leaf
+      vertices (exactly the trees with a P5, all on at least 5 vertices),
+      gets a P5, or the C4 when it is C4 itself, from the local rule of
+      ``_p5_or_c4``;
+    - else a vertex of degree at least 3 (a star or double star) gives K13,
+      the least such vertex as hub, then its three least neighbours, and
+      otherwise the component is a path on at most 4 vertices and has no walk.
 
     The ``graphs.find_*`` detectors decide the same cases by search and
     serve as the exact reference in the tests.

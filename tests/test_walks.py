@@ -12,7 +12,7 @@ from sqwalk.graphs import (Graph, claw_graph, components, cycle_graph,
 from sqwalk.morphisms import (_BLOCK, ALPHA_C4, ALPHA_P5, ALPHA_T5, BETA_P5, PHI_P5, TAU,
                               Colouring, Morphism, apply, fixed_point_stream, image_stream)
 from sqwalk.search import longest_square_free_walk
-from sqwalk.walks import (Classification, ComponentClassification, _cycle_p5,
+from sqwalk.walks import (Classification, ComponentClassification, _p5_or_c4,
                           c4_walk_uniform_stream, classify,
                           claw_walk_stream, cycle_walk_stream,
                           dean_reduced_stream, find_non_edge, is_g_word,
@@ -339,8 +339,8 @@ def reference_components(g):
 
 
 class TestClassifyShortcuts:
-    """The shapes decided without a search: isolated vertices, stars, double
-    stars and cycles, and the trees that still take two BFS passes."""
+    """The shapes decided without a search: isolated vertices, stars and
+    double stars by degree, cycles and the other trees by the P5/C4 rule."""
 
     assert_agrees = TestClassifierMatchesDetectors.assert_agrees
 
@@ -393,15 +393,15 @@ class TestClassifyShortcuts:
             assert n <= 60
             self.assert_agrees(relabelled(n, edges, rng))
 
-    def test_cycle_p5_is_five_consecutive_vertices_from_the_least(self):
+    def test_cycle_p5_is_five_consecutive_vertices_centred_on_the_least(self):
         rng = random.Random(2913)
         for n in range(5, 201):
             total = n + rng.randrange(4)  # the rest are isolated vertices
             ring = rng.sample(range(total), n)
             g = Graph(total, [(ring[i], ring[(i + 1) % n]) for i in range(n)])
             i = ring.index(min(ring))
-            step = 1 if ring[(i + 1) % n] < ring[i - 1] else -1
-            expected = tuple(ring[(i + step * k) % n] for k in range(5))
+            step = 1 if ring[(i + 1) % n] < ring[i - 1] else -1  # towards its smaller neighbour
+            expected = tuple(ring[(i + step * k) % n] for k in (2, 1, 0, -1, -2))
             c = classify(g)
             comp = next(comp for comp in c.components if len(comp.vertices) == n)
             assert comp == (tuple(sorted(ring)), f"cycle({n})", True, 3, "P5", expected)
@@ -429,30 +429,59 @@ class TestClassifyShortcuts:
                                                                            (0, 1, 2, 3))
 
 
-# triangle-free "other" components with a cycle, whose P5 comes from the
-# fundamental cycle of a BFS non-tree edge (or a 4-cycle and a neighbour)
+# triangle-free "other" components with a cycle, each with _p5_or_c4's P5
+# under the labelling given
 OTHER_WITH_CYCLES = {
-    "K2,3": (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
-    "C4_pendant": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
-    "C6_chord": (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]),
-    "theta_2_3_3": (7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]),
+    "K2,3": (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)], (4, 0, 2, 1, 3)),
+    "C4_pendant": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)], (4, 0, 1, 2, 3)),
+    "C6_chord": (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)], (2, 1, 0, 3, 4)),
+    "theta_2_3_3": (7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)],
+                    (1, 2, 0, 3, 4)),
+    "C4_pendants": (8, [(i, (i + 1) % 4) for i in range(4)] + [(i, i + 4) for i in range(4)],
+                    (2, 1, 0, 3, 7)),
+    "domino": (6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], (2, 1, 0, 3, 4)),
+    "C4_pendant_2path": (7, [(i, (i + 1) % 4) for i in range(4)] + [(0, 4), (2, 5), (5, 6)],
+                         (4, 0, 1, 2, 3)),
 }
+
+
+def other_with_cycle_graphs(name):
+    """The named graph as given, then 29 random relabellings of it."""
+    n, edges, _ = OTHER_WITH_CYCLES[name]
+    rng = random.Random(name)
+    return [Graph(n, edges)] + [relabelled(n, edges, rng) for _ in range(29)]
+
+
+def p5_branch(g, p5):
+    """Which branch of _p5_or_c4's rule gave p5, told by where its y lies."""
+    adj = g.adjacency
+    y = next(v for v in range(g.vertex_count) if sum(len(adj[u]) > 1 for u in adj[v]) > 1)
+    where = p5.index(y)
+    if where == 2:
+        x = p5[1]
+        return "first x2" if p5[0] == next(v for v in adj[x] if v != y) else "later x2"
+    return {1: "u via y", 3: "u via x2"}[where]
 
 
 class TestCycleP5:
     @pytest.mark.parametrize("name", list(OTHER_WITH_CYCLES))
     def test_other_components_with_a_cycle(self, name):
-        n, edges = OTHER_WITH_CYCLES[name]
-        rng = random.Random(name)
-        for k in range(30):
-            g = Graph(n, edges) if k == 0 else relabelled(n, edges, rng)
+        n, edges, pinned = OTHER_WITH_CYCLES[name]
+        assert _p5_or_c4(Graph(n, edges).adjacency, tuple(range(n))) == ("P5", pinned)
+        for g in other_with_cycle_graphs(name):
             assert find_triangle(g) is None and find_p5(g) is not None
-            p5 = _cycle_p5(g.adjacency, tuple(range(n)))
-            assert witness_spans(g, "P5", p5), (name, g, p5)
             c = classify(g)
             assert c.components[0].shape_text == "other"
-            assert (c.witness, c.witness_vertices) == ("P5", p5)
+            assert (c.witness, c.witness_vertices) == _p5_or_c4(g.adjacency, tuple(range(n)))
+            assert witness_spans(g, "P5", c.witness_vertices), (name, g, c)
             TestClassifierMatchesDetectors().assert_agrees(g)
+
+    def test_relabellings_reach_every_branch(self):
+        # the fourth way out, the C4 itself, is pinned on cycle(4) in
+        # TestClassifyShortcuts.test_component_records_are_named_tuples
+        branches = {p5_branch(g, classify(g).witness_vertices)
+                    for name in OTHER_WITH_CYCLES for g in other_with_cycle_graphs(name)}
+        assert branches == {"first x2", "later x2", "u via y", "u via x2"}
 
 
 class TestClassifyScale:
